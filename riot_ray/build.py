@@ -14,7 +14,9 @@
 Resume: each segment shard carries a manifest with a build fingerprint;
 re-running build() skips shards whose manifest matches (per-partition
 lineage, north rule).  Updates (D5) are handled by riot_ray.updates via
-generations + tombstones.
+generations + tombstones; small ones hand ``apply_tokenize`` /
+``build_segments`` a ``pa.Table`` and run the same stage objects
+in-process (``map_groups_local``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import json
 import os
 import time
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
@@ -34,6 +39,20 @@ from .stages.postings import TokenizeStage
 from .stages.segments import BuildShard
 
 STATS_FILE = "stats.json"
+
+
+def map_groups_local(table: pa.Table, key: str, fn) -> pa.Table | None:
+    """In-process ``groupby(key).map_groups(fn)``: rows grouped by a stable
+    sort on ``key`` (in-group row order is input order, as in Ray Data's
+    sort shuffle), ``fn`` called once per group in key order, outputs
+    concatenated.  None when ``table`` has no rows."""
+    if table.num_rows == 0:
+        return None
+    table = table.take(pc.sort_indices(table[key]))
+    keys = table[key].to_numpy()
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    ends = np.r_[starts[1:], len(keys)]
+    return pa.concat_tables(fn(table.slice(a, b - a)) for a, b in zip(starts, ends))
 
 
 def _fingerprint(opts: EngineOpts, source: str, files=None) -> str:
@@ -159,8 +178,17 @@ class IndexWriter:
         place the shard-build remote-args live (build/compact/add share it).
         shard_build_num_cpus is clamped to the CURRENT cluster so an index
         built on a big node never makes its maintenance jobs unschedulable
-        on a small one."""
+        on a small one.  A ``pa.Table`` of postings is built in-process,
+        one BuildShard call per shard; both forms return the manifest
+        frame (empty, with no columns, when there are no postings)."""
         import ray
+
+        if isinstance(postings, pa.Table):
+            import pandas as pd
+
+            out = map_groups_local(
+                postings, "shard", BuildShard(self.opts, self.segments_dir, fp))
+            return pd.DataFrame() if out is None else out.to_pandas()
 
         cpus = None
         try:
@@ -191,8 +219,17 @@ class IndexWriter:
         forever for actors it can never schedule — the whole build deadlocks
         (observed: tokenize_concurrency=8 on a 4-CPU cluster).  (1, N) keeps
         the big-cluster behavior (pool grows to N under load) and degrades
-        gracefully on small ones."""
+        gracefully on small ones.
+
+        A ``pa.Table`` is tokenized in-process, one stage call per
+        ``tokenize_batch_size`` slice."""
         opts = self.opts
+        if isinstance(ds, pa.Table):
+            stage = TokenizeStage(opts, self.tokenizer_factory)
+            step = opts.tokenize_batch_size or max(ds.num_rows, 1)
+            outs = [stage(ds.slice(i, step)) for i in range(0, ds.num_rows, step)]
+            return pa.concat_tables(outs) if outs else pa.table(
+                {"shard": pa.array([], pa.int32())})
         if opts.tokenize_concurrency:
             return ds.map_batches(
                 TokenizeStage,
@@ -268,9 +305,6 @@ class IndexWriter:
 
     def _build_termstats(self):
         import shutil
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
 
         from .store import count_any, glob_segments, read_any, segments_dataset
 

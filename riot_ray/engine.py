@@ -499,6 +499,8 @@ def _make_replica():
 class ReplicatedSearcher:
     def __init__(self, index_dir: str, replicas: int = 2, hydrate: bool = False,
                  num_cpus_per_actor: float = 1.0, tokenizer_factory=None):
+        import ray
+
         Replica = _make_replica()
         replicas = max(1, min(replicas, _cpu_actor_cap(num_cpus_per_actor)))
         self.index_dir, self.hydrate = index_dir, hydrate
@@ -514,6 +516,11 @@ class ReplicatedSearcher:
             ).remote(index_dir, hydrate, tokenizer_factory)
             for _ in range(replicas)
         ]
+        # wait for every replica to load: the searcher is a snapshot of the
+        # index as of its construction, not of whenever a replica's process
+        # came up — a fast add_docs right after construction otherwise
+        # reaches the slower replicas first
+        ray.get([a.ping.remote() for a in self.actors])
         self._rr = 0
 
     def _next(self):
@@ -939,6 +946,9 @@ class ActorSearcher(_SearcherBase):
             ).remote(index_dir, sl, hydrate)
             for sl in slices
         ]
+        # every worker loads now, under the global stats read above (see
+        # ReplicatedSearcher)
+        ray.get([a.ping.remote() for a in self.actors])
         if self._tomb.size:
             parts = ray.get([a.tombstone_len.remote(self._tomb) for a in self.actors])
             self.refresh_tombstone_stats(

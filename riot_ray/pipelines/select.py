@@ -26,6 +26,8 @@ model, weights, selection — replays exactly in DuckDB SQL.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -148,6 +150,9 @@ def dsir_weights(ds, target_ds, text_col: str = "text",
 
 
 _DUCK_GUMBEL = None  # cached per-process DuckDB connection (md5 kernel)
+# guards _DUCK_GUMBEL: its register/query/unregister of the fixed view name
+# `_dsir_ids` is not atomic, and threaded callers would hash each other's ids
+_DUCK_GUMBEL_LOCK = threading.Lock()
 
 # driver-side final-reduce gate, same constant/role as simsearch's
 # _DRIVER_REDUCE_MAX_ROWS: below it the #blocks x n partials collapse in
@@ -170,25 +175,31 @@ def _gumbel_keys(ids: np.ndarray, wm: np.ndarray, temperature: float,
     NaNs/errors out).  SQL twin:
     ``weight_micro * 1e-6 + T * (-ln(-ln(
         (((('0x' || substr(md5(seed || ':' || id), 1, 16))::UBIGINT
-           // 2048) | 1))::DOUBLE * power(2.0, -53))))``."""
+           // 2048) | 1))::DOUBLE * power(2.0, -53))))``.
+    The twin replays bit for bit only while numpy's ``log`` and DuckDB's
+    ``ln`` return the same double for every ``u``: both call the platform
+    libm here, but IEEE 754 does not require a correctly rounded ``log``,
+    so on another libm a 1-ulp difference could swap near-tied keys.
+    (``temperature=0`` sorts raw integer weights and is exact anywhere.)"""
     import hashlib
 
     try:
         import duckdb
 
         global _DUCK_GUMBEL
-        if _DUCK_GUMBEL is None:  # one connection per worker process, not
-            _DUCK_GUMBEL = duckdb.connect(  # one per batch
-                config={"preserve_insertion_order": True})
-        con = _DUCK_GUMBEL
-        con.register("_dsir_ids", pa.table({"v": pa.array(ids, pa.int64())}))
-        try:
-            h = con.execute(
-                "SELECT ('0x' || substr(md5(? || ':' || v::VARCHAR), 1, 16))"
-                "::UBIGINT AS h FROM _dsir_ids", [f"{seed}"],
-            ).fetch_arrow_table()["h"].to_numpy(zero_copy_only=False)
-        finally:
-            con.unregister("_dsir_ids")
+        with _DUCK_GUMBEL_LOCK:
+            if _DUCK_GUMBEL is None:  # one connection per worker process,
+                _DUCK_GUMBEL = duckdb.connect(  # not one per batch
+                    config={"preserve_insertion_order": True})
+            con = _DUCK_GUMBEL
+            con.register("_dsir_ids", pa.table({"v": pa.array(ids, pa.int64())}))
+            try:
+                h = con.execute(
+                    "SELECT ('0x' || substr(md5(? || ':' || v::VARCHAR), 1, 16))"
+                    "::UBIGINT AS h FROM _dsir_ids", [f"{seed}"],
+                ).fetch_arrow_table()["h"].to_numpy(zero_copy_only=False)
+            finally:
+                con.unregister("_dsir_ids")
         h = h.astype(np.uint64)
     except ImportError:
         h = np.fromiter(

@@ -1214,10 +1214,15 @@ def knn_int8_codes(
     import ray
 
     Q = np.asarray(queries, dtype=np.float64)
+    scales = np.asarray(scales, np.float64)
+    if scales.shape != (Q.shape[1],):
+        raise ValueError(
+            f"knn_int8_codes: scales has {scales.size} entries but the "
+            f"queries have dimension {Q.shape[1]}")
     if query_ids is None:
         query_ids = np.arange(len(Q))
     qids = np.asarray(query_ids, dtype=np.int64)
-    QC = quantize_batch(Q, np.asarray(scales, np.float64)).astype(np.float64)
+    QC = quantize_batch(Q, scales).astype(np.float64)
     qref = ray.put((qids, QC))
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -1233,6 +1238,10 @@ def knn_int8_codes(
         # zero-copy int8 matrix from the list column's flat values buffer
         n, d = batch.num_rows, g_QC.shape[1]
         flat = col.flatten()
+        if len(flat) != n * d:
+            raise ValueError(
+                f"knn_int8_codes: {n} code rows hold {len(flat)} values, not "
+                f"{n} x {d} (the query dimension)")
         C = np.asarray(flat, dtype=np.int8).reshape(n, d).astype(np.float64)
         order_v = np.argsort(ids, kind="stable")
         ids = ids[order_v]

@@ -19,7 +19,13 @@ core/indexer.go:135-159).  The batch-engine analog:
   part's max seq), the touched forward parts are rewritten atomically and
   only the affected shards are rebuilt.
 
-All three are Ray Data jobs over just the touched partitions.
+Each call runs in-process when the forward rows it must read or
+re-tokenize (Parquet footer counts) are at most ``LOCAL_MAX_ROWS``: the
+same stage objects as the build (prepare, TokenizeStage, BuildShard, and
+``_MergePart`` here) then run over ``pa.Table``s, grouped by
+``map_groups_local``.  Larger calls are Ray Data jobs over just the
+touched partitions, the path for working sets larger than the driver.
+Tombstones, the stats refresh and stale-shard removal are shared by both.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import glob
 import json
 import os
 import re
+import shutil
 import time
 import uuid
 
@@ -37,9 +44,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .build import STATS_FILE, IndexWriter, load_stats
+from .build import STATS_FILE, IndexWriter, load_stats, map_groups_local
 from .config import PART_SHIFT, EngineOpts, shard_of_part
-from .stages.prepare import derive_doc_id, make_prepare_fn
+from .stages.prepare import keep_columns, make_prepare_fn
 from .stages.segments import shard_dir
 
 
@@ -75,36 +82,75 @@ def _write_tombstones(index_dir: str, docs: np.ndarray) -> str:
     return final
 
 
+# An update whose forward working set (the rows it must read or
+# re-tokenize) is at most this many rows runs in-process.  Measured pinned
+# to one CPU on a code-mode index (24 docs added, all 8 shards rebuilt):
+# in-process 1.4 s at 2k rows and 6-8 s at 20k (~0.35 ms per row), the Ray
+# Data job 2.2-2.6 s and 18 s (~1-1.5 s fixed plus ~0.9 ms per row spread
+# over the cluster's CPUs).  Ray then wins only on many CPUs and above
+# ~5k rows (32 CPUs) to ~12k rows (4 CPUs); at 10k the in-process call
+# costs a few seconds and a few hundred MB of driver memory at most.
+# Larger working sets are Ray Data jobs.  Same role as
+# IndexWriter.DRIVER_DF_ROWS.
+LOCAL_MAX_ROWS = 10_000
+
+
+def _in_process(files: list[str], extra_rows: int = 0) -> bool:
+    """The one local-or-Ray choice of every update: the forward rows in
+    ``files`` (Parquet footers, no data read) plus ``extra_rows`` against
+    ``LOCAL_MAX_ROWS``."""
+    rows = extra_rows + sum(pq.read_metadata(f).num_rows for f in files)
+    return rows <= LOCAL_MAX_ROWS
+
+
+def _forward_cols(opts: EngineOpts) -> list[str]:
+    """Forward columns the tokenize stage reads when shards are rebuilt."""
+    return ["doc", opts.content_col] + [
+        c for c in (opts.tokens_col, opts.labels_col, opts.token_len_col) if c
+    ]
+
+
+def _read_forward(files: list[str], opts: EngineOpts, local: bool):
+    """Forward rows to re-tokenize: a ``pa.Table`` in-process, else a
+    Dataset — ``apply_tokenize`` / ``build_segments`` take either."""
+    if local:
+        return pq.read_table(files, columns=_forward_cols(opts))
+    return rd.read_parquet(files, columns=_forward_cols(opts))
+
+
+def _shard_files(index_dir: str, opts: EngineOpts, shards) -> list[str]:
+    return [
+        f for f in _forward_parts(index_dir)
+        if shard_of_part(_part_of(f), opts.num_parts, opts.num_shards) in shards
+    ]
+
+
 def remove_docs(index_dir: str, doc_ids: list[str]) -> dict:
-    """Tombstone docs by doc_id string.  Distributed lookup of doc u64s:
-    the (small) removal set is broadcast into a map_batches filter over the
-    forward table — no shuffle."""
-    want = set(doc_ids)
-    if not want:
+    """Tombstone docs by doc_id string.  The (small) removal set is an
+    ``is_in`` filter over the forward table's ``doc``/``doc_id`` columns —
+    per part in-process, or broadcast into a map_batches filter (no
+    shuffle) above ``LOCAL_MAX_ROWS``."""
+    want = pa.array(sorted(set(doc_ids)), pa.string())
+    if not len(want):
         return {"n_removed": 0}
 
     def find(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch["doc_id"], value_set=pa.array(sorted(want)))
-        return batch.filter(mask).select(["doc"])
+        return batch.filter(pc.is_in(batch["doc_id"], value_set=want)).select(["doc"])
 
     files = _forward_parts(index_dir)
-    found = (
-        rd.read_parquet(files, columns=["doc", "doc_id"])
-        .map_batches(find, batch_format="pyarrow")
-        .to_arrow_refs()
-    )
-    import ray
+    if _in_process(files):
+        found = [find(pq.read_table(f, columns=["doc", "doc_id"])) for f in files]
+    else:
+        import ray
 
-    tables = [t for t in ray.get(found) if t.num_rows]
-    docs = (
-        np.unique(
-            np.concatenate(
-                [t["doc"].to_numpy(zero_copy_only=False).astype(np.uint64) for t in tables]
-            )
+        found = ray.get(
+            rd.read_parquet(files, columns=["doc", "doc_id"])
+            .map_batches(find, batch_format="pyarrow")
+            .to_arrow_refs()
         )
-        if tables
-        else np.empty(0, dtype=np.uint64)
-    )
+    docs = np.unique(np.concatenate([np.empty(0, np.uint64)] + [
+        t["doc"].to_numpy(zero_copy_only=False).astype(np.uint64) for t in found
+    ]))
     if docs.size:
         _write_tombstones(index_dir, docs)
     return {"n_removed": int(docs.size)}
@@ -128,24 +174,17 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
             "content in this index (tombstone serving still works)"
         )
 
-    dead_parts = np.unique((tomb >> np.uint64(PART_SHIFT)).astype(np.int64))
+    dead_parts = set(np.unique(tomb >> np.uint64(PART_SHIFT)).astype(np.int64).tolist())
     dead_shards = sorted(
-        {shard_of_part(int(p), opts.num_parts, opts.num_shards) for p in dead_parts}
+        {shard_of_part(p, opts.num_parts, opts.num_shards) for p in dead_parts}
     )
-    touched_files = [
-        f for f in _forward_parts(index_dir) if _part_of(f) in set(dead_parts.tolist())
-    ]
+    touched_files = [f for f in _forward_parts(index_dir) if _part_of(f) in dead_parts]
 
     # 1) rewrite touched forward parts minus dead docs (atomic per part)
-    tomb_ref = tomb
-
-    def drop_dead(batch: pa.Table) -> pa.Table:
-        doc = batch["doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        keep = ~np.isin(doc, tomb_ref, assume_unique=False)
-        return batch.filter(pa.array(keep))
-
     for f in touched_files:  # few parts; each rewrite is independent
-        t = drop_dead(pq.read_table(f))
+        t = pq.read_table(f)
+        doc = t["doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        t = t.filter(pa.array(~np.isin(doc, tomb)))
         tmp = f + f".tmp-{uuid.uuid4().hex}"
         pq.write_table(t, tmp)
         os.replace(tmp, f)
@@ -153,22 +192,11 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
     # 2) rebuild shards owning those parts, from the (now clean) forward table
     w = IndexWriter(index_dir, opts, tokenizer_factory=tokenizer_factory)
     fp = f"compact-{uuid.uuid4().hex[:12]}"
-    shard_files: dict[int, list[str]] = {s: [] for s in dead_shards}
-    for f in _forward_parts(index_dir):
-        s = shard_of_part(_part_of(f), opts.num_parts, opts.num_shards)
-        if s in shard_files:
-            shard_files[s].append(f)
-
-    fwd_cols = ["doc", opts.content_col]
-    for c in (opts.tokens_col, opts.labels_col, opts.token_len_col):
-        if c:
-            fwd_cols.append(c)
-    files = sorted(x for fs in shard_files.values() for x in fs)
+    files = _shard_files(index_dir, opts, dead_shards)
     rebuilt: set = set()
     if files:
-        fwd = rd.read_parquet(files, columns=fwd_cols)
-        postings = w.apply_tokenize(fwd)
-        seg = w.build_segments(postings, fp)
+        local = _in_process(files)
+        seg = w.build_segments(w.apply_tokenize(_read_forward(files, opts, local)), fp)
         # an all-dead shard contributes no postings: the groupby can come
         # back empty with no schema at all
         if len(seg) and "shard" in seg.columns:
@@ -177,16 +205,12 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
     # segment dir must go, or serving would read postings for docs that no
     # longer exist in the forward table
     for s in dead_shards:
-        if s in rebuilt:
-            continue
         sdir = shard_dir(w.segments_dir, s)
-        if os.path.exists(sdir):
-            import shutil
-
+        if s not in rebuilt and os.path.exists(sdir):
             shutil.rmtree(sdir)
 
     # 3) refresh global termstats + stats from all shard outputs
-    _refresh_stats(index_dir, w, opts, stats, fp)
+    _refresh_stats(index_dir, w, stats, fp)
 
     # 4) clear tombstones
     for f in glob.glob(os.path.join(_tomb_dir(index_dir), "*.parquet")):
@@ -197,6 +221,32 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
         "shards_rebuilt": len(dead_shards),
         "wall_s": round(time.time() - t0, 3),
     }
+
+
+def _read_increment(source, opts: EngineOpts) -> pa.Table | None:
+    """The incoming rows, read once into this process and prepared once
+    (doc_id, content sha256, part); None when there are none.  A Parquet
+    path is read with only the columns the build keeps."""
+    if isinstance(source, rd.Dataset):
+        import ray
+
+        blocks = [b for b in ray.get(source.to_arrow_refs()) if b.num_rows]
+        table = pa.concat_tables(blocks, promote_options="default") if blocks else None
+    else:
+        have = set(pq.ParquetDataset(source).schema.names)
+        table = pq.read_table(source, columns=[c for c in keep_columns(opts) if c in have])
+    if table is None or table.num_rows == 0:
+        return None
+    return make_prepare_fn(opts)(table)
+
+
+def _tag_existing(batch: pa.Table, cols: list[str]) -> pa.Table:
+    """Existing forward rows as merge input: part from the doc u64, __gen=0."""
+    doc = batch["doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    part = (doc >> np.uint64(PART_SHIFT)).astype(np.int32)
+    batch = batch.append_column("part", pa.array(part, pa.int32()))
+    batch = batch.append_column("__gen", pa.array(np.zeros(batch.num_rows, np.int8)))
+    return batch.select(cols)
 
 
 def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
@@ -217,92 +267,58 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
         )
     w = IndexWriter(index_dir, opts, tokenizer_factory=tokenizer_factory)
 
-    ds = source if isinstance(source, rd.Dataset) else rd.read_parquet(source)
-    prepared = ds.map_batches(make_prepare_fn(opts), batch_format="pyarrow")
-
-    # touched parts (small driver-side set — one column off the new rows)
-    import ray
-
-    part_tables = ray.get(prepared.select_columns(["part"]).to_arrow_refs())
-    part_arrays = [
-        t["part"].to_numpy(zero_copy_only=False) for t in part_tables if t.num_rows
-    ]
-    if not part_arrays:
+    new = _read_increment(source, opts)
+    if new is None:
         return {"n_added": 0, "n_replaced": 0, "parts_touched": 0,
                 "shards_rebuilt": 0, "wall_s": round(time.time() - t0, 3)}
-    touched = np.unique(np.concatenate(part_arrays))
-    touched_set = set(int(p) for p in touched)
-    existing_files = [f for f in _forward_parts(index_dir) if _part_of(f) in touched_set]
-
+    touched = set(np.unique(new["part"].to_numpy(zero_copy_only=False)).tolist())
+    existing_files = [f for f in _forward_parts(index_dir) if _part_of(f) in touched]
     # union existing part rows (__gen=0, doc known) with incoming (__gen=1):
     # the merge group fn is then a PURE function of its group — safe under
     # Ray task retry/re-execution (no read-modify-write of mutable files).
-    def _tag_new(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column("__gen", pa.array(np.ones(batch.num_rows, np.int8)))
-        return batch.append_column(
-            "doc", pa.array(np.zeros(batch.num_rows, np.uint64), pa.uint64())
-        )
-
-    new_tagged = prepared.map_batches(_tag_new, batch_format="pyarrow")
-    schema_cols = new_tagged.schema().names
+    new = new.append_column("__gen", pa.array(np.ones(new.num_rows, np.int8)))
+    new = new.append_column("doc", pa.array(np.zeros(new.num_rows, np.uint64), pa.uint64()))
+    cols = new.column_names
     if existing_files:
-        have = set(pq.read_schema(existing_files[0]).names) | {"part", "__gen"}
-        missing = [c for c in have - set(schema_cols) if c not in ("part", "__gen")]
+        missing = set(pq.read_schema(existing_files[0]).names) - set(cols)
         if missing:
             raise ValueError(
                 f"add_docs source lacks column(s) {sorted(missing)} present in "
                 "the existing forward table — merging would silently drop "
                 "them from rewritten parts"
             )
-
-    def _tag_existing(batch: pa.Table) -> pa.Table:
-        doc = batch["doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        part = (doc >> np.uint64(PART_SHIFT)).astype(np.int32)
-        batch = batch.append_column("part", pa.array(part, pa.int32()))
-        batch = batch.append_column("__gen", pa.array(np.zeros(batch.num_rows, np.int8)))
-        return batch.select(schema_cols)
-
-    merged_src = new_tagged
-    if existing_files:
-        old_tagged = rd.read_parquet(existing_files).map_batches(
-            _tag_existing, batch_format="pyarrow"
-        )
-        merged_src = new_tagged.union(old_tagged)
+    touched_shards = {shard_of_part(p, opts.num_parts, opts.num_shards) for p in touched}
+    local = _in_process(_shard_files(index_dir, opts, touched_shards), new.num_rows)
 
     merger = _MergePart(opts, w.forward_dir)
-    manifest = (
-        merged_src.groupby("part").map_groups(merger, batch_format="pyarrow").to_pandas()
-    )
-    touched_parts = sorted(int(p) for p in manifest["part"])
+    if local:
+        merged = pa.concat_tables(
+            [new] + [_tag_existing(pq.read_table(f), cols) for f in existing_files],
+            promote_options="default",
+        )
+        manifest = map_groups_local(merged, "part", merger).to_pandas()
+    else:
+        merged = rd.from_arrow(new)
+        if existing_files:
+            merged = merged.union(rd.read_parquet(existing_files).map_batches(
+                _tag_existing, fn_args=(cols,), batch_format="pyarrow"))
+        manifest = (
+            merged.groupby("part").map_groups(merger, batch_format="pyarrow").to_pandas()
+        )
     retired = np.concatenate(
-        [np.asarray(x, dtype=np.uint64) for x in manifest["retired_docs"]]
-    ) if len(manifest) else np.empty(0, np.uint64)
+        [np.empty(0, np.uint64)]
+        + [np.asarray(x, dtype=np.uint64) for x in manifest["retired_docs"]]
+    )
     if retired.size:
         _write_tombstones(index_dir, np.unique(retired))
 
-    touched_shards = sorted(
-        {shard_of_part(p, opts.num_parts, opts.num_shards) for p in touched_parts}
-    )
-    files = [
-        f
-        for f in _forward_parts(index_dir)
-        if shard_of_part(_part_of(f), opts.num_parts, opts.num_shards) in touched_shards
-    ]
-    fwd_cols = ["doc", opts.content_col]
-    for c in (opts.tokens_col, opts.labels_col, opts.token_len_col):
-        if c:
-            fwd_cols.append(c)
     fp = f"add-{uuid.uuid4().hex[:12]}"
-    fwd = rd.read_parquet(files, columns=fwd_cols)
-    postings = w.apply_tokenize(fwd)
-    w.build_segments(postings, fp)
-
-    # shards were rebuilt from tombstone-free forward parts; clear any
-    # tombstones covering ONLY retired docs in touched shards (they are
-    # physically gone), keep others
-    _refresh_stats(index_dir, w, opts, stats, fp)
+    files = _shard_files(index_dir, opts, touched_shards)
+    w.build_segments(w.apply_tokenize(_read_forward(files, opts, local)), fp)
+    _refresh_stats(index_dir, w, stats, fp)
     # retired docs are physically absent from the rebuilt shards; the
-    # tombstones we just wrote would double-subtract -> drop them again
+    # tombstones written above (which hid them while their old postings
+    # could still be served) would now double-subtract -> drop them again
     if retired.size:
         remaining = load_tombstones(index_dir)
         keep = remaining[~np.isin(remaining, np.unique(retired))]
@@ -313,7 +329,7 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
     return {
         "n_added": int(manifest["n_added"].sum()),
         "n_replaced": int(retired.size),
-        "parts_touched": len(touched_parts),
+        "parts_touched": len(manifest),
         "shards_rebuilt": len(touched_shards),
         "wall_s": round(time.time() - t0, 3),
     }
@@ -385,22 +401,26 @@ class _MergePart:
         )
 
 
-def _refresh_stats(index_dir: str, w: IndexWriter, opts: EngineOpts, old_stats: dict, fp: str):
-    """Recompute global df table + corpus stats from current shard files."""
+def _refresh_stats(index_dir: str, w: IndexWriter, old_stats: dict, fp: str):
+    """Recompute the global df table and the corpus stats from the current
+    shard manifests and forward Parquet footers."""
     w._build_termstats()
 
-    n_docs, total_len, n_postings = 0, 0.0, 0
+    keys = ("n_docs", "total_token_len", "n_postings", "n_terms", "n_blocks")
+    tot = dict.fromkeys(keys, 0)
     for man in sorted(glob.glob(os.path.join(w.segments_dir, "shard=*", "manifest.json"))):
         with open(man) as f:
             m = json.load(f)
-        n_docs += m["n_docs"]
-        total_len += m["total_token_len"]
-        n_postings += m["n_postings"]
+        for k in keys:
+            tot[k] += m[k]
     stats = dict(old_stats)
     stats.update(
-        n_docs=n_docs,
-        total_token_len=total_len,
-        n_postings=n_postings,
+        n_docs=tot["n_docs"],
+        total_token_len=float(tot["total_token_len"]),
+        n_postings=tot["n_postings"],
+        n_terms_with_dups_across_shards=tot["n_terms"],
+        n_blocks=tot["n_blocks"],
+        n_docs_forward=sum(pq.read_metadata(f).num_rows for f in _forward_parts(index_dir)),
         fingerprint=fp,
         generations=old_stats.get("generations", [0]) + [fp],
     )

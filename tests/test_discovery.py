@@ -122,6 +122,18 @@ def test_replicated_searcher_heartbeat_restart(corpus_index, ray_session):
     # hard-kill replica 0 with no Ray auto-restart: only the monitor
     # can bring it back (the heart.go restart-command case)
     ray.kill(rs.actors[0], no_restart=True)
+    # ray.kill is asynchronous: wait (bounded) until a call to the replica
+    # fails, so both ticks below see the actor already dead
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            ray.get(rs.actors[0].ping.remote(0), timeout=5)
+        except ray.exceptions.RayActorError:
+            break
+        except ray.exceptions.GetTimeoutError:
+            pass
+        assert time.monotonic() < deadline, "killed replica still answers"
+        time.sleep(0.05)
     mon.tick()      # miss 1
     mon.tick()      # miss 2 -> exceeds fail_limit=1 -> restart_replica(0)
     assert mon.restart_counts()["replica-0"] == 1

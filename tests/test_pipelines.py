@@ -4751,6 +4751,30 @@ def test_knn_int8_codes_bit_identical_to_float_corpus(emb_ds, ray_session, tmp_p
     assert anon["vec_id"].to_pylist() == want["vec_id"].to_pylist()
 
 
+def test_knn_int8_codes_rejects_scale_dimension_mismatch(emb_ds, ray_session):
+    from riot_ray.pipelines import knn_int8_codes, quantize_embeddings
+
+    Q, qids = _first_queries()
+    codes_ds, scales = quantize_embeddings(emb_ds)
+    d = Q.shape[1]
+    with pytest.raises(ValueError, match=f"scales has {d - 1} entries.*dimension {d}"):
+        knn_int8_codes(codes_ds, Q, scales[:-1], query_ids=qids, k=5)
+
+
+def test_knn_int8_codes_rejects_code_dimension_mismatch(emb_ds, ray_session):
+    """Codes persisted with another dimensionality must fail with the two
+    dimensions named, not a numpy reshape error or silent mis-scoring."""
+    from riot_ray.pipelines import knn_int8_codes, quantize_embeddings
+
+    Q, qids = _first_queries()
+    codes_ds, scales = quantize_embeddings(emb_ds)
+    d = Q.shape[1]
+    # raised in the scan task; Ray Data re-raises it wrapped, message intact
+    with pytest.raises(Exception, match=rf"ValueError: knn_int8_codes: \d+ code "
+                       rf"rows hold \d+ values, not \d+ x {d - 2}"):
+        knn_int8_codes(codes_ds, Q[:, :-2], scales[:-2], query_ids=qids, k=5)
+
+
 def test_dsir_gumbel_sampler(docs_ds, dsir_target, ray_session):
     """temperature>0: the paper's Gumbel-top-k — deterministic given
     seed, block-layout independent, seed-sensitive, temperature-consistent
@@ -4773,7 +4797,8 @@ def test_dsir_gumbel_sampler(docs_ds, dsir_target, ray_session):
     g0 = dsir_sample(docs_ds, dsir_target, n=30, n_buckets=4096, lam=lam,
                      temperature=1e-9, seed=11)
     assert g0[0].to_pylist() == det[0].to_pylist()
-    # SQL twin of the noisy selection
+    # SQL twin of the noisy selection; exact only while numpy's log and
+    # DuckDB's ln agree bit for bit (see select._gumbel_keys)
     exp = _duck(
         f"""
         WITH w AS ({_DSIR_SQL.replace('ORDER BY doc_id', '')}),
@@ -4789,6 +4814,59 @@ def test_dsir_gumbel_sampler(docs_ds, dsir_target, ray_session):
         """
     )
     assert g1.to_pydict() == exp.to_pydict()
+
+
+_GUMBEL_THREADS = """
+import hashlib, sys, threading
+import numpy as np
+from riot_ray.pipelines.select import _gumbel_keys
+
+def want(ids, seed):
+    h = np.array([int(hashlib.md5(f"{seed}:{v}".encode()).hexdigest()[:16], 16)
+                  for v in ids], dtype=np.uint64)
+    u = ((h >> np.uint64(11)) | np.uint64(1)).astype(np.float64) * 2.0 ** -53
+    return -np.log(-np.log(u))
+
+jobs = [(np.arange(i * 1000, i * 1000 + 300, dtype=np.int64), i) for i in range(8)]
+expect = [want(ids, seed) for ids, seed in jobs]
+bad = []
+
+def run(k):
+    ids, seed = jobs[k]
+    for _ in range(25):
+        got = _gumbel_keys(ids, np.zeros(len(ids), np.int64), 1.0, seed)
+        if not np.array_equal(got, expect[k]):
+            bad.append(k)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print("BAD", sorted(set(bad)))
+"""
+
+
+def test_gumbel_keys_thread_safe():
+    """Threads sharing the per-process DuckDB connection must each get the
+    keys of their own ids (the fixed `_dsir_ids` view name is registered,
+    queried and unregistered per call); checked against the pure hashlib
+    form of the same key, with more threads than cores and a short switch
+    interval.  Runs in a child process: the unguarded race can deadlock
+    inside DuckDB, which must fail this test, not hang the suite."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        out = subprocess.run([sys.executable, "-c", _GUMBEL_THREADS], cwd=root,
+                             capture_output=True, text=True, timeout=120)
+    except subprocess.TimeoutExpired:
+        pytest.fail("threaded _gumbel_keys calls did not finish in 120 s")
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.strip().splitlines()[-1] == "BAD []"
 
 
 def test_dsir_sample_gated_fanin_reduce(docs_ds, dsir_target, ray_session,

@@ -124,6 +124,41 @@ def test_add_docs_new_and_replace(ray_session, tmp_path):
     assert load_stats(idx)["n_docs"] == 120
 
 
+def _stats_match_files(idx):
+    """stats.json counts agree with the shard manifests and forward footers."""
+    import glob
+    import json
+
+    st = load_stats(idx)
+    mans = []
+    for m in glob.glob(os.path.join(idx, "segments", "shard=*", "manifest.json")):
+        with open(m) as f:
+            mans.append(json.load(f))
+    fwd = sum(pq.read_metadata(f).num_rows
+              for f in glob.glob(os.path.join(idx, "forward", "part=*.parquet")))
+    assert st["n_docs_forward"] == st["n_docs"] == fwd
+    assert st["n_blocks"] == sum(m["n_blocks"] for m in mans)
+    assert st["n_terms_with_dups_across_shards"] == sum(m["n_terms"] for m in mans)
+    return st
+
+
+def test_stats_current_after_add_remove_compact(ray_session, tmp_path):
+    """Every corpus count in stats.json is refreshed by add_docs and
+    compact, not only n_docs / total_token_len / n_postings."""
+    import ray.data as rd
+
+    full = make_corpus(130, seed=9)
+    idx = _build(str(tmp_path), "st", full.slice(0, 120))
+    built = _stats_match_files(idx)
+    add_docs(idx, rd.from_arrow(full.slice(120, 10)))
+    st = _stats_match_files(idx)
+    assert st["n_docs_forward"] == 130 and st["n_blocks"] != built["n_blocks"]
+    victims = [h.doc_id for h in LocalSearcher(idx).search(SearchReq(text="def")).docs[:4]]
+    remove_docs(idx, victims)
+    compact(idx)
+    assert _stats_match_files(idx)["n_docs_forward"] == 126
+
+
 def __table_to_ds(table):
     import ray.data as rd
 
