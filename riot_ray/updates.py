@@ -19,12 +19,14 @@ core/indexer.go:135-159).  The batch-engine analog:
   part's max seq), the touched forward parts are rewritten atomically and
   only the affected shards are rebuilt.
 
-Each call runs in-process when the forward rows it must read or
-re-tokenize (Parquet footer counts) are at most ``LOCAL_MAX_ROWS``: the
-same stage objects as the build (prepare, TokenizeStage, BuildShard, and
-``_MergePart`` here) then run over ``pa.Table``s, grouped by
-``map_groups_local``.  Larger calls are Ray Data jobs over just the
-touched partitions, the path for working sets larger than the driver.
+``add_docs`` and ``compact`` run in-process when the forward rows they
+must read or re-tokenize (Parquet footer counts) are at most
+``LOCAL_MAX_ROWS``: the same stage objects as the build (prepare,
+TokenizeStage, BuildShard, and ``_MergePart`` here) then run over
+``pa.Table``s, grouped by ``map_groups_local``.  Larger calls are Ray Data
+jobs over just the touched partitions; an increment above the limit is
+prepared on the cluster and never enters the driver.  ``remove_docs``
+always scans in-process, one part's ``doc``/``doc_id`` columns at a time.
 Tombstones, the stats refresh and stale-shard removal are shared by both.
 """
 
@@ -82,23 +84,24 @@ def _write_tombstones(index_dir: str, docs: np.ndarray) -> str:
     return final
 
 
-# An update whose forward working set (the rows it must read or
-# re-tokenize) is at most this many rows runs in-process.  Measured pinned
-# to one CPU on a code-mode index (24 docs added, all 8 shards rebuilt):
-# in-process 1.4 s at 2k rows and 6-8 s at 20k (~0.35 ms per row), the Ray
-# Data job 2.2-2.6 s and 18 s (~1-1.5 s fixed plus ~0.9 ms per row spread
-# over the cluster's CPUs).  Ray then wins only on many CPUs and above
-# ~5k rows (32 CPUs) to ~12k rows (4 CPUs); at 10k the in-process call
-# costs a few seconds and a few hundred MB of driver memory at most.
-# Larger working sets are Ray Data jobs.  Same role as
-# IndexWriter.DRIVER_DF_ROWS.
+# An add or compact whose forward working set (the rows it must read or
+# re-tokenize) is at most this many rows runs in-process; larger working
+# sets are Ray Data jobs.  The limit bounds what one in-process call holds
+# in the driver: an add of 24 docs rebuilding 7 of 8 shards of a code-mode
+# index raised the driver's peak RSS by 66 MB at 2k forward rows, 136 MB
+# at 10k and 237 MB at 20k.  Pinned to one CPU, in-process also won on
+# time at both sizes compared: 1.4 s vs the Ray Data job's 2.2-2.6 s at
+# 2k rows, 6-8 s vs 18 s at 20k.  Where Ray Data overtakes it on a
+# many-CPU cluster is NOT measured: a per-row fit of those two points puts
+# it near 5k rows at 32 CPUs and 12k at 4 CPUs, an estimate only.  Same
+# role as IndexWriter.DRIVER_DF_ROWS.
 LOCAL_MAX_ROWS = 10_000
 
 
 def _in_process(files: list[str], extra_rows: int = 0) -> bool:
-    """The one local-or-Ray choice of every update: the forward rows in
-    ``files`` (Parquet footers, no data read) plus ``extra_rows`` against
-    ``LOCAL_MAX_ROWS``."""
+    """The one local-or-Ray choice of ``add_docs`` and ``compact``: the
+    forward rows in ``files`` (Parquet footers, no data read) plus
+    ``extra_rows`` against ``LOCAL_MAX_ROWS``."""
     rows = extra_rows + sum(pq.read_metadata(f).num_rows for f in files)
     return rows <= LOCAL_MAX_ROWS
 
@@ -127,30 +130,18 @@ def _shard_files(index_dir: str, opts: EngineOpts, shards) -> list[str]:
 
 def remove_docs(index_dir: str, doc_ids: list[str]) -> dict:
     """Tombstone docs by doc_id string.  The (small) removal set is an
-    ``is_in`` filter over the forward table's ``doc``/``doc_id`` columns —
-    per part in-process, or broadcast into a map_batches filter (no
-    shuffle) above ``LOCAL_MAX_ROWS``."""
+    ``is_in`` filter over the forward table's ``doc``/``doc_id`` columns,
+    read one part at a time, so the driver holds one part's two columns
+    whatever the index size."""
     want = pa.array(sorted(set(doc_ids)), pa.string())
     if not len(want):
         return {"n_removed": 0}
-
-    def find(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch["doc_id"], value_set=want)).select(["doc"])
-
-    files = _forward_parts(index_dir)
-    if _in_process(files):
-        found = [find(pq.read_table(f, columns=["doc", "doc_id"])) for f in files]
-    else:
-        import ray
-
-        found = ray.get(
-            rd.read_parquet(files, columns=["doc", "doc_id"])
-            .map_batches(find, batch_format="pyarrow")
-            .to_arrow_refs()
-        )
-    docs = np.unique(np.concatenate([np.empty(0, np.uint64)] + [
-        t["doc"].to_numpy(zero_copy_only=False).astype(np.uint64) for t in found
-    ]))
+    found = []
+    for f in _forward_parts(index_dir):
+        t = pq.read_table(f, columns=["doc", "doc_id"])
+        t = t.filter(pc.is_in(t["doc_id"], value_set=want))
+        found.append(t["doc"].to_numpy(zero_copy_only=False).astype(np.uint64))
+    docs = np.unique(np.concatenate([np.empty(0, np.uint64)] + found))
     if docs.size:
         _write_tombstones(index_dir, docs)
     return {"n_removed": int(docs.size)}
@@ -223,21 +214,42 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
     }
 
 
-def _read_increment(source, opts: EngineOpts) -> pa.Table | None:
-    """The incoming rows, read once into this process and prepared once
-    (doc_id, content sha256, part); None when there are none.  A Parquet
-    path is read with only the columns the build keeps."""
-    if isinstance(source, rd.Dataset):
-        import ray
+def _read_increment(source, opts: EngineOpts):
+    """The incoming rows, prepared once (doc_id, content sha256, part).  Up
+    to ``LOCAL_MAX_ROWS`` rows (Parquet footers, or the row count of the
+    materialized Dataset) they are read into this process and returned as
+    a ``pa.Table``; above it they are prepared on the cluster and returned
+    as a ``MaterializedDataset`` that never enters the driver.  None when
+    there are no rows.  A Parquet path is read with only the columns the
+    build keeps."""
+    import ray
 
-        blocks = [b for b in ray.get(source.to_arrow_refs()) if b.num_rows]
-        table = pa.concat_tables(blocks, promote_options="default") if blocks else None
+    if isinstance(source, rd.Dataset):
+        src = source.materialize()
+        n = src.count()
     else:
-        have = set(pq.ParquetDataset(source).schema.names)
-        table = pq.read_table(source, columns=[c for c in keep_columns(opts) if c in have])
-    if table is None or table.num_rows == 0:
+        pds = pq.ParquetDataset(source)
+        cols = [c for c in keep_columns(opts) if c in set(pds.schema.names)]
+        n = sum(f.metadata.num_rows for f in pds.fragments)
+    if n == 0:
         return None
-    return make_prepare_fn(opts)(table)
+    if _in_process([], n):
+        if isinstance(source, rd.Dataset):
+            blocks = [b for b in ray.get(src.to_arrow_refs()) if b.num_rows]
+            table = pa.concat_tables(blocks, promote_options="default")
+        else:
+            table = pq.read_table(source, columns=cols)
+        return make_prepare_fn(opts)(table)
+    if not isinstance(source, rd.Dataset):
+        src = rd.read_parquet(source, columns=cols)
+    return src.map_batches(make_prepare_fn(opts), batch_format="pyarrow").materialize()
+
+
+def _tag_new(batch: pa.Table) -> pa.Table:
+    """Incoming rows as merge input: __gen=1, doc assigned by the merge."""
+    batch = batch.append_column("__gen", pa.array(np.ones(batch.num_rows, np.int8)))
+    return batch.append_column(
+        "doc", pa.array(np.zeros(batch.num_rows, np.uint64), pa.uint64()))
 
 
 def _tag_existing(batch: pa.Table, cols: list[str]) -> pa.Table:
@@ -271,14 +283,20 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
     if new is None:
         return {"n_added": 0, "n_replaced": 0, "parts_touched": 0,
                 "shards_rebuilt": 0, "wall_s": round(time.time() - t0, 3)}
-    touched = set(np.unique(new["part"].to_numpy(zero_copy_only=False)).tolist())
+    # the part set and the columns come from the prepared rows (for a
+    # Dataset: its materialized blocks, one int32 column to the driver)
+    if isinstance(new, pa.Table):
+        parts = [new["part"]]
+        cols = new.column_names
+    else:
+        import ray
+
+        parts = [t["part"] for t in ray.get(new.select_columns(["part"]).to_arrow_refs())
+                 if t.num_rows]
+        cols = new.schema().names
+    touched = {int(p) for c in parts for p in pc.unique(c).to_pylist()}
+    cols = cols + ["__gen", "doc"]
     existing_files = [f for f in _forward_parts(index_dir) if _part_of(f) in touched]
-    # union existing part rows (__gen=0, doc known) with incoming (__gen=1):
-    # the merge group fn is then a PURE function of its group — safe under
-    # Ray task retry/re-execution (no read-modify-write of mutable files).
-    new = new.append_column("__gen", pa.array(np.ones(new.num_rows, np.int8)))
-    new = new.append_column("doc", pa.array(np.zeros(new.num_rows, np.uint64), pa.uint64()))
-    cols = new.column_names
     if existing_files:
         missing = set(pq.read_schema(existing_files[0]).names) - set(cols)
         if missing:
@@ -288,17 +306,23 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
                 "them from rewritten parts"
             )
     touched_shards = {shard_of_part(p, opts.num_parts, opts.num_shards) for p in touched}
-    local = _in_process(_shard_files(index_dir, opts, touched_shards), new.num_rows)
+    local = isinstance(new, pa.Table) and _in_process(
+        _shard_files(index_dir, opts, touched_shards), new.num_rows)
 
+    # union existing part rows (__gen=0, doc known) with incoming (__gen=1):
+    # the merge group fn is then a PURE function of its group — safe under
+    # Ray task retry/re-execution (no read-modify-write of mutable files).
     merger = _MergePart(opts, w.forward_dir)
     if local:
         merged = pa.concat_tables(
-            [new] + [_tag_existing(pq.read_table(f), cols) for f in existing_files],
+            [_tag_new(new)] + [_tag_existing(pq.read_table(f), cols) for f in existing_files],
             promote_options="default",
         )
         manifest = map_groups_local(merged, "part", merger).to_pandas()
     else:
-        merged = rd.from_arrow(new)
+        if isinstance(new, pa.Table):
+            new = rd.from_arrow(new)
+        merged = new.map_batches(_tag_new, batch_format="pyarrow")
         if existing_files:
             merged = merged.union(rd.read_parquet(existing_files).map_batches(
                 _tag_existing, fn_args=(cols,), batch_format="pyarrow"))

@@ -57,7 +57,8 @@ def assert_same_index(a, b):
 
 class Twin:
     """Two copies of one index; every call runs on both, the second with
-    the Ray path forced, and checks which path each copy took."""
+    ``LOCAL_MAX_ROWS`` lowered (to 0 by default, forcing the Ray path), and
+    checks which path each copy took."""
 
     def __init__(self, index_dir, monkeypatch):
         self.local, self.ray = index_dir + "_local", index_dir + "_ray"
@@ -73,20 +74,24 @@ class Twin:
 
         monkeypatch.setattr(updates, "_in_process", record)
 
-    def __call__(self, fn, *args):
+    def __call__(self, fn, *args, max_rows=0):
         self.paths.clear()
         out_local = fn(self.local, *args)
+        local_paths = list(self.paths)
+        self.paths.clear()
         default = updates.LOCAL_MAX_ROWS
-        self.mp.setattr(updates, "LOCAL_MAX_ROWS", 0)
+        self.mp.setattr(updates, "LOCAL_MAX_ROWS", max_rows)
         out_ray = fn(self.ray, *args)
         self.mp.setattr(updates, "LOCAL_MAX_ROWS", default)
         out_local.pop("wall_s", None)
         out_ray.pop("wall_s", None)
         assert out_local == out_ray
-        # each call decides once per copy: in-process first, then on Ray
-        assert self.paths in ([], [True, False]), self.paths
+        # the first copy stays in-process; the second ends on Ray
+        assert all(local_paths), local_paths
+        assert bool(local_paths) == bool(self.paths)
+        assert not self.paths or not self.paths[-1], self.paths
         assert_same_index(self.local, self.ray)
-        return out_local
+        return out_local, self.paths
 
 
 def _build(tmp, name, table, **opts_kw):
@@ -117,24 +122,36 @@ def test_local_and_ray_updates_identical(ray_session, tmp_path, monkeypatch):
         texts[i] += "\nzebra_token quokka"
     changed = full.set_column(full.column_names.index("content"), "content",
                               pa.array(texts, pa.string()))
-    out = twin(add_docs, rd.from_arrow(changed.slice(60, 25)))
+    out, paths = twin(add_docs, rd.from_arrow(changed.slice(60, 25)))
     assert out["n_added"] == 25 and out["n_replaced"] == 10
-    # the same source as a Parquet path
+    # above the limit the increment is prepared on the cluster: one choice
+    assert paths == [False]
+    # a Parquet path; the increment (10 rows) is small enough to read into
+    # the driver, the shards it lands in are not
     more = os.path.join(str(tmp_path), "more.parquet")
     pq.write_table(full.slice(85, 10), more)
-    assert twin(add_docs, more)["n_added"] == 10
-    # an empty source touches nothing
-    assert twin(add_docs, rd.from_arrow(full.slice(0, 0)))["n_added"] == 0
+    out, paths = twin(add_docs, more, max_rows=10)
+    assert out["n_added"] == 10 and paths == [True, False]
+    # a Parquet path above the limit is read and prepared on the cluster
+    last = os.path.join(str(tmp_path), "last.parquet")
+    pq.write_table(full.slice(95, 5), last)
+    out, paths = twin(add_docs, last)
+    assert out["n_added"] == 5 and paths == [False]
+    # an empty source touches nothing and makes no choice
+    out, paths = twin(add_docs, rd.from_arrow(full.slice(0, 0)))
+    assert out["n_added"] == 0 and paths == []
 
-    assert twin(remove_docs, _ids(full.slice(3, 2)))["n_removed"] == 2
+    # remove_docs always scans in-process, one part at a time
+    out, paths = twin(remove_docs, _ids(full.slice(3, 2)))
+    assert out["n_removed"] == 2 and paths == []
     # remove every doc of shard 0 (parts 0 and 1), then compact: the dead
     # shard's segment dir must be gone on both paths
     dead = pq.read_table(
         sorted(glob.glob(os.path.join(twin.local, "forward", "part=0000[01].parquet"))),
         columns=["doc_id"])
     twin(remove_docs, dead["doc_id"].to_pylist())
-    st = twin(compact)
-    assert st["shards_rebuilt"] == 2
+    st, paths = twin(compact)
+    assert st["shards_rebuilt"] == 2 and paths == [False]
     assert not os.path.exists(os.path.join(twin.local, "segments", "shard=00000"))
     assert load_tombstones(twin.local).size == 0
 
@@ -165,6 +182,6 @@ def test_local_and_ray_updates_identical_perdoc(ray_session, tmp_path,
     idx = _build(str(tmp_path), "perdoc", table(0, 30), mode="simple",
                  id_cols=("doc_id",), meta_cols=(), token_len_col="tl", **kw)
     twin = Twin(idx, monkeypatch)
-    assert twin(add_docs, rd.from_arrow(table(25, 40)))["n_replaced"] == 5
+    assert twin(add_docs, rd.from_arrow(table(25, 40)))[0]["n_replaced"] == 5
     twin(remove_docs, ["d1", "d7", "d30"])
     twin(compact)
