@@ -55,6 +55,12 @@ def map_groups_local(table: pa.Table, key: str, fn) -> pa.Table | None:
     return pa.concat_tables(fn(table.slice(a, b - a)) for a, b in zip(starts, ends))
 
 
+def forward_doc_count(forward_dir: str) -> int:
+    """Rows in the forward table, from the part files' Parquet footers."""
+    return sum(pq.read_metadata(f).num_rows
+               for f in glob.glob(os.path.join(forward_dir, "part=*.parquet")))
+
+
 def _fingerprint(opts: EngineOpts, source: str, files=None) -> str:
     """Semantic opts + source description + file-level metadata (path,
     size, mtime) of every input file — a changed input invalidates resume
@@ -118,7 +124,7 @@ class IndexWriter:
         postings = self.apply_tokenize(assigned)
         seg_manifest = self.build_segments(postings, fp)
         self._remove_stale_outputs(fp)
-        n_docs_forward = self._forward_doc_count()
+        n_docs_forward = forward_doc_count(self.forward_dir)
 
         # ---- global term stats (df) -------------------------------------
         self._build_termstats()
@@ -284,18 +290,6 @@ class IndexWriter:
             except Exception:
                 cols = None
         return rd.read_parquet(source, override_num_blocks=nblocks, columns=cols)
-
-    def _forward_files(self):
-        return sorted(glob.glob(os.path.join(self.forward_dir, "part=*.parquet")))
-
-    def _forward_doc_count(self) -> int:
-        total = 0
-        for man in sorted(
-            glob.glob(os.path.join(self.forward_dir, "part=*.manifest.json"))
-        ):
-            with open(man) as f:
-                total += json.load(f)["n_docs"]
-        return total
 
     # per-shard terms.parquet are already term-aggregated; the global df is a
     # small second-level reduce.  Below ~5M rows a driver-side pyarrow groupby

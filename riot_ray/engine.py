@@ -1,12 +1,22 @@
 """SearchEngine facade: global stats + term dictionary + shard fan-out.
 
-Two serving modes over the same ShardData kernels:
+Four serving tiers over the same ShardData kernels:
 
-* ``LocalSearcher`` — in-process shards (tests, DuckDB-oracle callables).
+* ``LocalSearcher`` — in-process shards (tests, the HTTP facade's default,
+  DuckDB-oracle callables).
 * ``ActorSearcher`` — named actor pool (one ``ShardWorker`` actor owning a
-  contiguous slice of shards, SURVEY.md §3.3 rebuild equivalent); the driver
+  slice of shards, SURVEY.md §3.3 rebuild equivalent); the driver
   tokenizes, ships per-token idf, ``ray.wait``s with the request timeout and
   merges per-shard top-k heaps.
+* ``ReplicatedSearcher`` — N actors each holding a full ``LocalSearcher``,
+  round-robin, one RPC per query.
+* ``DistSearcher`` — N independent node indexes, riot's (ts desc, id desc)
+  wire merge.
+
+The one per-shard executor is :class:`ShardSet`: ``LocalSearcher`` holds one
+over all shards and each ``ShardWorker`` one over its slice.  Planning,
+batch dedupe and the one gather of per-process outputs live in
+``_SearcherBase``; the replica tiers wrap ``LocalSearcher``.
 
 The driver holds term->df (global BM25 stats = riot NumShards=1 semantics);
 a keyword absent from the global dictionary short-circuits the AND search to
@@ -22,7 +32,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .build import load_stats
-from .config import DOCIDS_INDEX, EngineOpts
+from .config import FREQS_INDEX, EngineOpts
 from .query import ShardData, bm25_idf, merge_ranked, rank_hits
 from .tokenize import Tokenizer
 from .types import RankOpts, SearchReq, SearchResp
@@ -84,6 +94,13 @@ def _load_tombstones(index_dir: str) -> np.ndarray:
 
 
 class _SearcherBase:
+    """Planning, batching and the one gather shared by every sharded
+    searcher.  A subclass supplies where the shards live: ``_run(items,
+    timeout_ms)`` executes planned queries on every process hosting a
+    :class:`ShardSet` and returns ``(outputs per process, timed_out)``, and
+    ``_removed(tombstones)`` returns each process's per-shard removed-doc
+    stats."""
+
     def __init__(self, index_dir: str, hydrate: bool = False, tokenizer_factory=None):
         self.index_dir = index_dir
         self._tok_factory = tokenizer_factory
@@ -98,7 +115,6 @@ class _SearcherBase:
         self.tok = (tokenizer_factory or Tokenizer)(self.opts)
         self.termstats = _load_termstats(index_dir)
         self.hydrate = hydrate
-        self.shard_ids = self._existing_shards()
         tomb = _load_tombstones(index_dir)
         self.n_tomb = int(tomb.size)
         self._tomb = tomb
@@ -107,24 +123,27 @@ class _SearcherBase:
         self._tomb_ndocs = 0
         self._tomb_len = 0.0
 
-    def _existing_shards(self):
-        seg = os.path.join(self.index_dir, "segments")
-        ids = []
-        if os.path.isdir(seg):
-            for name in sorted(os.listdir(seg)):
-                if name.startswith("shard="):
-                    ids.append(int(name.split("=")[1]))
-        return ids
+    def _shard_universe(self) -> list:
+        """The FIXED shard ids ``range(num_shards)``: immutable for the
+        index's lifetime, so a slice of it is restart-safe and a shard that
+        materializes later (first postings via add_docs) already has an
+        owner."""
+        return list(range(int(self.opts.num_shards) or 1))
 
     # ---- stats with tombstones applied --------------------------------- #
     def _global(self):
-        n = self.stats["n_docs"] - getattr(self, "_tomb_ndocs", 0)
-        total = self.stats["total_token_len"] - getattr(self, "_tomb_len", 0.0)
+        n = self.stats["n_docs"] - self._tomb_ndocs
+        total = self.stats["total_token_len"] - self._tomb_len
         return n, total
 
-    def refresh_tombstone_stats(self, n_docs_removed: int, len_removed: float):
-        self._tomb_ndocs = n_docs_removed
-        self._tomb_len = len_removed
+    def _count_removed(self):
+        """Subtract the tombstoned docs from the global BM25 stats: their
+        count and token length as found in the loaded docmeta, summed in
+        shard order whichever processes host the shards."""
+        if self._tomb.size:
+            per_shard = sorted(p for part in self._removed(self._tomb) for p in part)
+            self._tomb_ndocs = sum(n for _, n, _ in per_shard)
+            self._tomb_len = float(sum(tl for _, _, tl in per_shard))
 
     # ---- query assembly -------------------------------------------------#
     def _prepare(self, req: SearchReq):
@@ -138,15 +157,15 @@ class _SearcherBase:
         return tokens, rank, None
 
     def _plan(self, req: SearchReq):
-        """Resolve one request into a dispatchable (method, kwargs, rank,
-        keep, orderless) plan, or a finished SearchResp for the short-circuit
-        cases (empty query, missing keyword, logic handled separately).
-        Returns (plan_tuple | None, resp | None)."""
+        """Resolve one request into a (method, kwargs, rank, keep,
+        orderless, is_wand) plan, or None for the short-circuit cases
+        (empty query, missing keyword).  Returns (plan | None, resp)."""
         tokens, rank, raw_toks = self._prepare(req)
         labels = list(req.labels)
         resp = SearchResp(tokens=tuple(tokens))
+        keep = 0 if rank.max_outputs == 0 else rank.output_offset + rank.max_outputs
         if req.logic is not None and req.logic.active(len(tokens) + len(labels)):
-            return ("logic", tokens, labels, rank), resp
+            return self._plan_logic(req, tokens + labels, rank, keep), resp
         keywords = tokens + labels
         if not keywords:
             return None, resp
@@ -166,9 +185,6 @@ class _SearcherBase:
             else total_len / n_docs
         )
         idfs = [float(bm25_idf(n_docs, df, dtype)) for df in dfs[: len(tokens)]]
-        keep = 0 if rank.max_outputs == 0 else rank.output_offset + rank.max_outputs
-        from .config import FREQS_INDEX
-
         if req.phrase and tokens:
             from .tokenize import phrase_pattern
 
@@ -216,6 +232,27 @@ class _SearcherBase:
                     rank, keep, req.orderless, False)
         return plan, resp
 
+    def _plan_logic(self, req: SearchReq, keywords: list, rank: RankOpts, keep: int):
+        """Must/Should/NotIn plan, or None when a must-keyword (or every
+        should-keyword) is missing from the global dictionary."""
+        logic = req.logic
+        must = list(logic.expr.must) or (keywords if logic.must else [])
+        should = list(logic.expr.should) or (keywords if logic.should else [])
+        not_in = list(logic.expr.not_in) or (keywords if logic.not_in else [])
+        # a must-keyword missing globally empties the result
+        if not all(self.termstats.get(k) for k in must):
+            return None
+        # should-keywords missing are dropped; all missing -> empty
+        should_present = [k for k in should if self.termstats.get(k)]
+        if should and not should_present:
+            return None
+        return ("logic_search",
+                dict(must=must, should=should_present,
+                     not_in=[k for k in not_in if self.termstats.get(k)],
+                     allow_ids=req.doc_ids, count_only=req.count_docs_only,
+                     facets=tuple(req.facets)),
+                rank, keep, req.orderless, False)
+
     @staticmethod
     def _short_circuit_facets(req: SearchReq, resp: SearchResp) -> SearchResp:
         """Short-circuited (no-kernel) responses still honor the facets
@@ -228,75 +265,10 @@ class _SearcherBase:
         plan, resp = self._plan(req)
         if plan is None:
             return self._short_circuit_facets(req, resp)
-        return self._exec_plan(plan, req, resp)
-
-    def _exec_plan(self, plan, req: SearchReq, resp: SearchResp) -> SearchResp:
-        """Execute one plan produced by :meth:`_plan`."""
-        if plan[0] == "logic":
-            _tag, tokens, labels, rank = plan
-            return self._logic_search(req, tokens, labels, rank, resp)
-        method, kw, rank, keep, orderless, is_wand = plan
-        results = self._dispatch(method, kw, req, rank, keep, orderless=orderless)
-        out = self._collect(results, req, rank, resp)
-        if is_wand:
-            # num_docs = docs actually SCORED (pruned blocks never counted)
-            out.num_docs = results[2]
-        return out
-
-    def _logic_search(self, req, tokens, labels, rank, resp):
-        logic = req.logic
-        keywords = tokens + labels
-        must = list(logic.expr.must) or (keywords if logic.must else [])
-        should = list(logic.expr.should) or (keywords if logic.should else [])
-        not_in = list(logic.expr.not_in) or (keywords if logic.not_in else [])
-        # a must-keyword missing globally empties the result
-        for k in must:
-            if not self.termstats.get(k):
-                return self._short_circuit_facets(req, resp)
-        # should-keywords missing are dropped; all missing -> empty
-        should_present = [k for k in should if self.termstats.get(k)]
-        if should and not should_present:
-            return self._short_circuit_facets(req, resp)
-        not_in_present = [k for k in not_in if self.termstats.get(k)]
-        keep = 0 if rank.max_outputs == 0 else rank.output_offset + rank.max_outputs
-        results = self._dispatch(
-            "logic_search",
-            dict(
-                must=must,
-                should=should_present,
-                not_in=not_in_present,
-                allow_ids=req.doc_ids,
-                count_only=req.count_docs_only,
-                facets=tuple(req.facets),
-            ),
-            req,
-            rank,
-            keep,
-            orderless=req.orderless,
-        )
-        return self._collect(results, req, rank, resp)
-
-    def _collect(self, results, req, rank, resp):
-        per_shard, num_scored, num_found, timed_out = results[:4]
-        if req.facets:
-            fc = results[4] if len(results) > 4 else None
-            resp.facets = {c: dict(sorted((fc or {}).get(c, {}).items()))
-                           for c in req.facets}
-        resp.timeout = timed_out
-        if req.count_docs_only:
-            resp.num_docs = num_found
-            return resp
-        if req.orderless:
-            # skip ranking entirely (/root/reference/indexer_worker.go:75-113)
-            resp.docs = [h for hits in per_shard for h in hits]
-            resp.num_docs = len(resp.docs)
-            return resp
-        resp.docs = merge_ranked(per_shard, rank)
-        resp.num_docs = num_scored
-        return resp
+        return self._execute([(plan, req, resp)], req.timeout_ms)[0]
 
     @staticmethod
-    def _plan_key(plan, count_only: bool):
+    def _plan_key(plan):
         """Hashable execution key for a planned query, or None when the
         plan carries unshareable state (custom scoring callables, doc-id
         allowlists).  Two requests with equal keys run the identical
@@ -314,55 +286,140 @@ class _SearcherBase:
                 v = tuple(v)
             items.append((k, v))
         return (
-            method, tuple(items), keep, orderless, count_only,
+            method, tuple(items), keep, orderless,
             rank.output_offset, rank.max_outputs, rank.reverse_order,
         )
 
     def search_many(self, reqs: list) -> list[SearchResp]:
         """Batched serving: plan every request once and execute each
-        DISTINCT plan once (identical queries in a batch share one kernel
-        pass and one ranked result — responses for duplicates alias the
-        same hit objects; treat them as read-only).  Logic queries and
-        plans with unshareable state fall back to the per-query path.
-        ActorSearcher overrides this with the one-RPC-per-worker variant."""
+        DISTINCT plan once, all in one ``_run`` (one RPC per actor on the
+        actor tier, which then waits for every actor: ``timeout_ms`` applies
+        to :meth:`search` only).  Identical queries in a batch share one
+        kernel pass and one ranked result — responses for duplicates alias
+        the same hit objects; treat them as read-only."""
         results: list = [None] * len(reqs)
-        by_key: dict = {}
+        todo, slot, by_key = [], [], {}
         for i, req in enumerate(reqs):
             plan, resp = self._plan(req)
             if plan is None:
                 results[i] = self._short_circuit_facets(req, resp)
                 continue
-            key = None if plan[0] == "logic" else self._plan_key(
-                plan, req.count_docs_only
-            )
-            if key is None:
-                results[i] = self._exec_plan(plan, req, resp)
-                continue
-            if key in by_key:
-                results[i] = results[by_key[key]]
-            else:
-                by_key[key] = i
-                results[i] = self._exec_plan(plan, req, resp)
+            key = self._plan_key(plan)
+            j = None if key is None else by_key.get(key)
+            if j is None:
+                j = len(todo)
+                todo.append((plan, req, resp))
+                if key is not None:
+                    by_key[key] = j
+            slot.append((i, j))
+        done = self._execute(todo, 0) if todo else []
+        for i, j in slot:
+            results[i] = done[j]
         return results
+
+    def _execute(self, todo: list, timeout_ms) -> list[SearchResp]:
+        """Run ``[(plan, req, resp)]`` through ``_run`` and gather each
+        query's per-process outputs into its response."""
+        items = [(m, kw, rank, keep, req.count_docs_only, orderless)
+                 for (m, kw, rank, keep, orderless, _w), req, _r in todo]
+        outs, timed_out = self._run(items, timeout_ms)
+        return [self._gather(plan, req, resp, [o[j] for o in outs], timed_out)
+                for j, (plan, req, resp) in enumerate(todo)]
+
+    def _gather(self, plan, req, resp, outs, timed_out) -> SearchResp:
+        """Combine one query's ``(hits per shard, num_scored, num_found,
+        facets)`` outputs, one per process, into its response — the one
+        merge for every tier (riot's collect, engine.go:557-630)."""
+        rank, is_wand = plan[2], plan[5]
+        per_shard, num_scored, num_found, facets = [], 0, 0, None
+        for hits_lists, n_scored, n_found, fc in outs:
+            per_shard.extend(hits_lists)
+            num_scored += n_scored
+            num_found += n_found
+            facets = merge_facets(facets, fc)
+        if req.facets:
+            resp.facets = {c: dict(sorted((facets or {}).get(c, {}).items()))
+                           for c in req.facets}
+        resp.timeout = timed_out
+        if req.count_docs_only:
+            resp.num_docs = num_found
+            return resp
+        if req.orderless:
+            # skip ranking entirely (reference indexer_worker.go:75-113)
+            resp.docs = [h for hits in per_shard for h in hits]
+            resp.num_docs = len(resp.docs)
+            return resp
+        resp.docs = merge_ranked(per_shard, rank)
+        # WAND: num_docs = docs actually SCORED (pruned blocks never counted)
+        resp.num_docs = num_found if is_wand else num_scored
+        return resp
+
+
+class ShardSet:
+    """The shards one process hosts, and the one per-shard executor every
+    searcher tier runs: ``LocalSearcher`` holds one over all shards, each
+    ``ShardWorker`` actor one over its slice.  Ids whose segment dir does
+    not exist yet (a shard that has received no postings) load as nothing."""
+
+    def __init__(self, index_dir: str, shard_ids, opts: EngineOpts, hydrate: bool,
+                 tombstones: np.ndarray):
+        seg = os.path.join(index_dir, "segments")
+        self.shards = [
+            ShardData(i, index_dir, opts, hydrate) for i in shard_ids
+            if os.path.isdir(os.path.join(seg, f"shard={i:05d}"))
+        ]
+        if tombstones.size:
+            for s in self.shards:
+                s.set_tombstones(tombstones)
+
+    def removed(self, tombstones: np.ndarray) -> list:
+        """(shard id, count, token length) of the tombstoned docs found in
+        each shard's docmeta."""
+        out = []
+        for s in self.shards:
+            mask = np.isin(s.dm_doc, tombstones, assume_unique=True)
+            out.append((s.shard_id, int(mask.sum()), float(s.dm_len[mask].sum())))
+        return out
+
+    def run(self, method, kwargs, rank, keep, count_only, orderless):
+        """One planned query over every hosted shard: (ranked hits per
+        shard, num_scored, num_found, merged facets)."""
+        if (method == "search" and not orderless and not count_only
+                and rank.scoring_criteria is None and not rank.reverse_order):
+            # default rank path: defer doc-id string materialization to the
+            # top-k boundary inside rank_hits (with_ids=False) — common
+            # terms otherwise gather an object array for most of the shard
+            kwargs = {**kwargs, "with_ids": False}
+        per_shard, num_scored, num_found, facets = [], 0, 0, None
+        for s in self.shards:
+            out = getattr(s, method)(**kwargs)
+            hits, num = out[0], out[1]
+            if len(out) > 2:
+                facets = merge_facets(facets, out[2])
+            num_found += num
+            if count_only:
+                continue
+            if orderless:
+                per_shard.append(rank_hit_passthrough(hits))
+                continue
+            ranked, n_scored = rank_hits(hits, rank, s, keep)
+            num_scored += n_scored
+            per_shard.append(ranked)
+        return per_shard, num_scored, num_found, facets
+
+    def run_many(self, items) -> list:
+        """items = [(method, kwargs, rank, keep, count_only, orderless)]."""
+        return [self.run(*item) for item in items]
 
 
 class LocalSearcher(_SearcherBase):
-    """In-process serving — shares every kernel with the actor path."""
+    """In-process serving: one :class:`ShardSet` over every shard."""
 
     def __init__(self, index_dir: str, hydrate: bool = False, tokenizer_factory=None):
         super().__init__(index_dir, hydrate, tokenizer_factory)
-        self.shards = [
-            ShardData(i, index_dir, self.opts, hydrate) for i in self.shard_ids
-        ]
-        for s in self.shards:
-            if self._tomb.size:
-                s.set_tombstones(self._tomb)
-        if self._tomb.size:
-            lens = []
-            for s in self.shards:
-                mask = np.isin(s.dm_doc, self._tomb, assume_unique=True)
-                lens.append(float(s.dm_len[mask].sum()))
-            self.refresh_tombstone_stats(int(self._tomb.size), float(sum(lens)))
+        self.shard_set = ShardSet(index_dir, self._shard_universe(), self.opts,
+                                  hydrate, self._tomb)
+        self._count_removed()
 
     def reload(self):
         """Re-open the index in place: new generations (add_docs), fresh
@@ -377,29 +434,11 @@ class LocalSearcher(_SearcherBase):
         its write lock across mutate+reload."""
         self.__init__(self.index_dir, self.hydrate, self._tok_factory)
 
-    def _dispatch(self, method, kwargs, req, rank, keep, orderless):
-        per_shard, num_scored, num_found, facets = [], 0, 0, None
-        if (method == "search" and not orderless and not req.count_docs_only
-                and rank.scoring_criteria is None and not rank.reverse_order):
-            # default rank path: defer doc-id string materialization to the
-            # top-k boundary inside rank_hits (with_ids=False) — common
-            # terms otherwise gather an object array for most of the shard
-            kwargs = {**kwargs, "with_ids": False}
-        for s in self.shards:
-            out = getattr(s, method)(**kwargs)
-            hits, num = out[0], out[1]
-            if len(out) > 2:
-                facets = merge_facets(facets, out[2])
-            num_found += num
-            if req.count_docs_only:
-                continue
-            if orderless:
-                per_shard.append(rank_hit_passthrough(hits))
-                continue
-            ranked, n_scored = rank_hits(hits, rank, s, keep)
-            num_scored += n_scored
-            per_shard.append(ranked)
-        return per_shard, num_scored, num_found, False, facets
+    def _run(self, items, timeout_ms):
+        return [self.shard_set.run_many(items)], False
+
+    def _removed(self, tombstones):
+        return [self.shard_set.removed(tombstones)]
 
 
 def merge_facets(acc, fc):
@@ -499,28 +538,14 @@ def _make_replica():
 class ReplicatedSearcher:
     def __init__(self, index_dir: str, replicas: int = 2, hydrate: bool = False,
                  num_cpus_per_actor: float = 1.0, tokenizer_factory=None):
-        import ray
-
-        Replica = _make_replica()
         replicas = max(1, min(replicas, _cpu_actor_cap(num_cpus_per_actor)))
         self.index_dir, self.hydrate = index_dir, hydrate
         self._num_cpus_per_actor = num_cpus_per_actor
         self._tok_factory = tokenizer_factory
-        # Serving state is read-only (reloaded from disk in __init__), so a
-        # crashed replica restarts in place and interrupted calls replay —
-        # the rebuild's analog of riot's heartbeat+restart liveness layer
-        # (/root/reference/net/heartb/heart.go:48-114).
-        self.actors = [
-            Replica.options(
-                num_cpus=num_cpus_per_actor, max_restarts=3, max_task_retries=-1
-            ).remote(index_dir, hydrate, tokenizer_factory)
-            for _ in range(replicas)
-        ]
-        # wait for every replica to load: the searcher is a snapshot of the
-        # index as of its construction, not of whenever a replica's process
-        # came up — a fast add_docs right after construction otherwise
-        # reaches the slower replicas first
-        ray.get([a.ping.remote() for a in self.actors])
+        self.actors = _spawn_actors(
+            _make_replica(), num_cpus_per_actor,
+            [(index_dir, hydrate, tokenizer_factory)] * replicas,
+        )
         self._rr = 0
 
     def _next(self):
@@ -550,16 +575,16 @@ class ReplicatedSearcher:
         net/heartb/heart.go:100-114 restart command covers)."""
         import ray
 
-        Replica = _make_replica()
-        old = self.actors[i]
-        self.actors[i] = Replica.options(
-            num_cpus=self._num_cpus_per_actor, max_restarts=3,
-            max_task_retries=-1
-        ).remote(self.index_dir, self.hydrate, self._tok_factory)
+        # kill first: the new replica may need the old one's CPU before it
+        # can load and answer the spawn's ping
         try:
-            ray.kill(old, no_restart=True)
+            ray.kill(self.actors[i], no_restart=True)
         except Exception:
             pass
+        self.actors[i] = _spawn_actors(
+            _make_replica(), self._num_cpus_per_actor,
+            [(self.index_dir, self.hydrate, self._tok_factory)],
+        )[0]
 
     def attach_heartbeats(self, monitor, registry=None,
                           service: str = "riot-search",
@@ -689,16 +714,11 @@ class DistSearcher:
 
     def __init__(self, index_dirs: list, ts_field: str = "ts",
                  num_cpus_per_actor: float = 1.0, tokenizer_factory=None):
-        import ray
-
-        Replica = _make_replica()
         self.ts_field = ts_field
-        self.nodes = [
-            Replica.options(
-                num_cpus=num_cpus_per_actor, max_restarts=3, max_task_retries=-1
-            ).remote(d, True, tokenizer_factory)
-            for d in index_dirs
-        ]
+        self.nodes = _spawn_actors(
+            _make_replica(), num_cpus_per_actor,
+            [(d, True, tokenizer_factory) for d in index_dirs],
+        )
 
     def search(self, req: SearchReq) -> SearchResp:
         import ray
@@ -823,85 +843,63 @@ def _make_shard_worker():
 
     @ray.remote
     class ShardWorker:
-        """Owns a contiguous slice of shards; query-path state loaded once
-        in __init__ (actor-pool pattern, SURVEY.md §2.3 T2/T3)."""
+        """A :class:`ShardSet` over a contiguous slice of shards, loaded
+        once in __init__ (actor-pool pattern, SURVEY.md §2.3 T2/T3)."""
 
         def __init__(self, index_dir, shard_ids, hydrate):
             # EVERYTHING that can advance after construction is re-derived
             # from the index dir here: a crash-restarted actor replays its
             # ORIGINAL ctor args, so anything else would silently revert
             # on restart.  shard_ids is a slice of the FIXED universe
-            # range(num_shards) (immutable for the index's lifetime, so
-            # restart-safe); ids whose segment dir doesn't exist yet (a
-            # shard that has received no postings) load as nothing and are
-            # picked up by the next reload()/restart once the dir appears.
+            # (restart-safe); shards without a segment dir yet are picked
+            # up by the next reload()/restart once the dir appears.
             # Tombstones advance via remove_docs: re-reading them means a
             # restarted worker may be NEWER than the driver's snapshot
             # until the next reload() — the safe direction (a deleted doc
             # never resurrects; the reverse would silently undo removals).
-            self._index_dir, self._hydrate = index_dir, hydrate
-            self._shard_ids = list(shard_ids)
-            self.searchers = []
-            stats = load_stats(index_dir)
-            opts = EngineOpts.from_json_dict(stats["opts"])
-            tombstones = _load_tombstones(index_dir)
-            seg = os.path.join(index_dir, "segments")
-            for i in self._shard_ids:
-                if not os.path.isdir(os.path.join(seg, f"shard={i:05d}")):
-                    continue  # not materialized yet
-                s = ShardData(i, index_dir, opts, hydrate)
-                if tombstones.size:
-                    s.set_tombstones(tombstones)
-                self.searchers.append(s)
+            self._args = (index_dir, list(shard_ids), hydrate)
+            opts = EngineOpts.from_json_dict(load_stats(index_dir)["opts"])
+            self.shard_set = ShardSet(index_dir, shard_ids, opts, hydrate,
+                                      _load_tombstones(index_dir))
 
         def reload(self):
             """Re-open this worker's FIXED shard slice (new generations /
             tombstones / compactions / newly materialized shard dirs)
-            without restarting the actor.  The slice itself never changes,
-            so a crash-restart reconstructs the identical assignment."""
-            self.__init__(self._index_dir, self._shard_ids, self._hydrate)
+            without restarting the actor."""
+            self.__init__(*self._args)
 
         def ping(self, msg: int = 1) -> int:
             # HeartBeat echo (reference net/grpc/grpc.go:84-87)
             return msg
 
-        def run(self, method, kwargs, rank, keep, count_only, orderless):
-            if (method == "search" and not orderless and not count_only
-                    and rank.scoring_criteria is None
-                    and not rank.reverse_order):
-                # same lazy doc-id deferral as LocalSearcher._dispatch
-                kwargs = {**kwargs, "with_ids": False}
-            out_hits, num_scored, num_found, facets = [], 0, 0, None
-            for s in self.searchers:
-                out = getattr(s, method)(**kwargs)
-                hits, num = out[0], out[1]
-                if len(out) > 2:
-                    facets = merge_facets(facets, out[2])
-                num_found += num
-                if count_only:
-                    continue
-                if orderless:
-                    out_hits.append(rank_hit_passthrough(hits))
-                    continue
-                ranked, n_sc = rank_hits(hits, rank, s, keep)
-                num_scored += n_sc
-                out_hits.append(ranked)
-            return out_hits, num_scored, num_found, facets
-
         def run_many(self, items):
-            """Batched entry: one RPC carrying many planned queries —
-            items = [(method, kwargs, rank, keep, count_only, orderless)]."""
-            return [self.run(*item) for item in items]
+            return self.shard_set.run_many(items)
 
-        def tombstone_len(self, tombstones):
-            total, count = 0.0, 0
-            for s in self.searchers:
-                mask = np.isin(s.dm_doc, tombstones, assume_unique=True)
-                total += float(s.dm_len[mask].sum())
-                count += int(mask.sum())
-            return total, count
+        def removed(self, tombstones):
+            return self.shard_set.removed(tombstones)
 
     return ShardWorker
+
+
+def _spawn_actors(actor_cls, num_cpus: float, ctor_args: list) -> list:
+    """One crash-restartable actor per ctor-args tuple, returned once every
+    one has loaded.  Serving state is read-only (loaded from the index dir
+    in each actor's __init__), so a crashed actor restarts in place and
+    interrupted calls replay — the analog of riot's heartbeat+restart
+    liveness layer (reference net/heartb/heart.go:48-114).  The wait
+    makes a searcher a snapshot of the index as of its construction, not of
+    whenever each actor's process came up: a fast add_docs right after
+    construction otherwise reaches the slower actors first."""
+    import ray
+
+    actors = [
+        actor_cls.options(
+            num_cpus=num_cpus, max_restarts=3, max_task_retries=-1
+        ).remote(*args)
+        for args in ctor_args
+    ]
+    ray.get([a.ping.remote() for a in actors])
+    return actors
 
 
 def _cpu_actor_cap(num_cpus_per_actor: float) -> int:
@@ -921,39 +919,23 @@ def _cpu_actor_cap(num_cpus_per_actor: float) -> int:
 
 
 class ActorSearcher(_SearcherBase):
+    """Sharded fan-out: one ``ShardWorker`` actor per slice of the shard
+    universe; a query is one ``run_many`` RPC per actor."""
+
     def __init__(self, index_dir: str, num_actors: int = 4, hydrate: bool = False,
                  num_cpus_per_actor: float = 1.0, tokenizer_factory=None):
         super().__init__(index_dir, hydrate, tokenizer_factory)
-        import ray
-
-        ShardWorker = _make_shard_worker()
-        # slice the FIXED shard universe range(num_shards), not the shard
-        # dirs that happen to exist today: the assignment is then immutable
-        # for the index's lifetime — a crash-restarted worker reconstructs
-        # the identical slice, reload() needs no re-slicing, and shards
-        # materialized later (first postings via add_docs — including on an
-        # index built from an EMPTY source) already have an owner
-        universe = list(range(int(self.opts.num_shards) or 1))
+        # slice the FIXED shard universe, not the shard dirs that happen to
+        # exist today: a crash-restarted worker reconstructs the identical
+        # slice and reload() needs no re-slicing
+        universe = self._shard_universe()
         num_actors = max(1, min(num_actors, len(universe),
                                 _cpu_actor_cap(num_cpus_per_actor)))
-        slices = [universe[i::num_actors] for i in range(num_actors)]
-        # serving state is loaded from the index dir in each worker's
-        # __init__ (incl. tombstones) -> crash-restartable: a replayed
-        # ctor re-reads CURRENT disk state (see ReplicatedSearcher)
-        self.actors = [
-            ShardWorker.options(
-                num_cpus=num_cpus_per_actor, max_restarts=3, max_task_retries=-1
-            ).remote(index_dir, sl, hydrate)
-            for sl in slices
-        ]
-        # every worker loads now, under the global stats read above (see
-        # ReplicatedSearcher)
-        ray.get([a.ping.remote() for a in self.actors])
-        if self._tomb.size:
-            parts = ray.get([a.tombstone_len.remote(self._tomb) for a in self.actors])
-            self.refresh_tombstone_stats(
-                int(sum(p[1] for p in parts)), float(sum(p[0] for p in parts))
-            )
+        self.actors = _spawn_actors(
+            _make_shard_worker(), num_cpus_per_actor,
+            [(index_dir, universe[i::num_actors], hydrate) for i in range(num_actors)],
+        )
+        self._count_removed()
 
     def reload(self):
         """Advance every worker (and the driver's stats/termstats/
@@ -970,89 +952,25 @@ class ActorSearcher(_SearcherBase):
         _SearcherBase.__init__(self, self.index_dir, self.hydrate,
                                self._tok_factory)
         ray.get([a.reload.remote() for a in self.actors])
-        if self._tomb.size:
-            parts = ray.get([a.tombstone_len.remote(self._tomb) for a in self.actors])
-            self.refresh_tombstone_stats(
-                int(sum(p[1] for p in parts)), float(sum(p[0] for p in parts))
-            )
+        self._count_removed()
 
-    def search_many(self, reqs: list) -> list[SearchResp]:
+    def _run(self, items, timeout_ms):
         import ray
 
-        results: list = [None] * len(reqs)
-        batch: list[tuple[int, tuple]] = []
-        for i, req in enumerate(reqs):
-            plan, resp = self._plan(req)
-            if plan is None:
-                results[i] = self._short_circuit_facets(req, resp)
-            elif plan[0] == "logic":
-                results[i] = self.search(req)  # logic: per-query path
-            else:
-                batch.append((i, plan, resp))
-        if batch:
-            # cross-query sharing: ship each DISTINCT plan once (smaller
-            # RPC, one kernel pass per distinct query per shard); duplicate
-            # requests alias the same SearchResp (read-only by convention)
-            items, key_to_uq, uq_of = [], {}, []
-            for i, plan, _r in batch:
-                m, kw, rank, keep, orderless, _w = plan
-                key = self._plan_key(plan, reqs[i].count_docs_only)
-                if key is not None and key in key_to_uq:
-                    uq_of.append(key_to_uq[key])
-                    continue
-                uq = len(items)
-                items.append((m, kw, rank, keep, reqs[i].count_docs_only, orderless))
-                if key is not None:
-                    key_to_uq[key] = uq
-                uq_of.append(uq)
-            futs = [a.run_many.remote(items) for a in self.actors]
-            per_actor = ray.get(futs)  # [actor][uq] -> (hits, n_sc, n_f)
-            done: dict[int, SearchResp] = {}
-            for (i, plan, resp), uq in zip(batch, uq_of):
-                m, kw, rank, keep, orderless, is_wand = plan
-                if uq in done:
-                    results[i] = done[uq]
-                    continue
-                per_shard, num_scored, num_found, fc_all = [], 0, 0, None
-                for actor_out in per_actor:
-                    hits_list, n_sc, n_f, fc = actor_out[uq]
-                    per_shard.extend(hits_list)
-                    num_scored += n_sc
-                    num_found += n_f
-                    fc_all = merge_facets(fc_all, fc)
-                out = self._collect(
-                    (per_shard, num_scored, num_found, False, fc_all),
-                    reqs[i], rank, resp
-                )
-                if is_wand:
-                    out.num_docs = num_found  # wand counts SCORED docs only
-                done[uq] = out
-                results[i] = out
-        return results
-
-    def _dispatch(self, method, kwargs, req, rank, keep, orderless):
-        import ray
-
-        futs = [
-            a.run.remote(method, kwargs, rank, keep, req.count_docs_only, orderless)
-            for a in self.actors
-        ]
+        futs = [a.run_many.remote(items) for a in self.actors]
         timed_out = False
-        if req.timeout_ms and req.timeout_ms > 0:
+        if timeout_ms and timeout_ms > 0:
             ready, not_ready = ray.wait(
-                futs, num_returns=len(futs), timeout=req.timeout_ms / 1000.0
+                futs, num_returns=len(futs), timeout=timeout_ms / 1000.0
             )
-            if not_ready:
-                timed_out = True  # partial results + Timeout flag
+            timed_out = bool(not_ready)  # partial results + Timeout flag
             futs = ready
-        results = ray.get(futs)
-        per_shard, num_scored, num_found, facets = [], 0, 0, None
-        for hits_list, n_sc, n_f, fc in results:
-            per_shard.extend(hits_list)
-            num_scored += n_sc
-            num_found += n_f
-            facets = merge_facets(facets, fc)
-        return per_shard, num_scored, num_found, timed_out, facets
+        return ray.get(futs), timed_out
+
+    def _removed(self, tombstones):
+        import ray
+
+        return ray.get([a.removed.remote(tombstones) for a in self.actors])
 
     def shutdown(self):
         import ray

@@ -381,7 +381,7 @@ def unigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
                          "logprob_mean": pa.array(mean, pa.float64())})
 
     if n_vocab * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(micro_ds.to_arrow_refs()) if t.num_rows]
+        tabs = [t for t in ray.get(micro_ds.materialize().to_arrow_refs()) if t.num_rows]
         mt = pa.concat_tables(tabs).combine_chunks()
         kh_all = mt["kh"].to_numpy(zero_copy_only=False)
         order = np.argsort(kh_all)
@@ -570,7 +570,7 @@ def bigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
         return pa.table({"kg": batch["kg"], "micro": pa.array(micro, pa.int64())})
 
     if n_vocab * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(cnt1.to_arrow_refs()) if t.num_rows]
+        tabs = [t for t in ray.get(cnt1.materialize().to_arrow_refs()) if t.num_rows]
         ct = pa.concat_tables(tabs).combine_chunks()
         k1_all = ct["k1"].to_numpy(zero_copy_only=False)
         o = np.argsort(k1_all)
@@ -600,7 +600,7 @@ def bigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
                          "logprob_mean": pa.array(mean, pa.float64())})
 
     if n_bigram_types * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(micro_ds.to_arrow_refs()) if t.num_rows]
+        tabs = [t for t in ray.get(micro_ds.materialize().to_arrow_refs()) if t.num_rows]
         mt = pa.concat_tables(tabs).combine_chunks()
         kg_all = mt["kg"].to_numpy(zero_copy_only=False)
         o = np.argsort(kg_all)
@@ -826,7 +826,7 @@ def tfidf_topk(ds, text_col: str = "text", id_col: str = "doc_id", k: int = 3):
                          "rank": pa.array(rank[keep], pa.int64())})
 
     if n_vocab * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(idf_ds.to_arrow_refs()) if t.num_rows]
+        tabs = [t for t in ray.get(idf_ds.materialize().to_arrow_refs()) if t.num_rows]
         it = pa.concat_tables(tabs).combine_chunks()
         kh_all = it["kh"].to_numpy(zero_copy_only=False)
         order = np.argsort(kh_all)
@@ -957,7 +957,7 @@ def more_like_this(ds, query_ids, k: int = 5,
         return batch.filter(pa.array(hit)).select([id_col, text_col])
 
     qtabs = [t for t in ray.get(
-        ds.map_batches(pick, batch_format="pyarrow").to_arrow_refs())
+        ds.map_batches(pick, batch_format="pyarrow").materialize().to_arrow_refs())
         if t.num_rows]
     if not qtabs:
         return pa.table({"query_id": pa.array([], pa.int64()),
@@ -999,7 +999,7 @@ def more_like_this(ds, query_ids, k: int = 5,
     df_tabs = [t for t in ray.get(
         ds.map_batches(df_partial, batch_format="pyarrow")
         .groupby("__part").map_groups(df_reduce, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+        .materialize().to_arrow_refs()) if t.num_rows]
     df_of = np.zeros(vq.size, np.int64)
     for t in df_tabs:
         pos, hit = lookup_sorted(vq, t["kh"].to_numpy(zero_copy_only=False))
@@ -1085,7 +1085,7 @@ def more_like_this(ds, query_ids, k: int = 5,
                                       "score": pa.array([], pa.int64())}))
         return topk_int(pa.concat_tables(tabs).combine_chunks())
     reduced = mat.groupby("query_id").map_groups(topk_int, batch_format="pyarrow")
-    tabs = [t for t in ray.get(reduced.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in ray.get(reduced.materialize().to_arrow_refs()) if t.num_rows]
     if not tabs:
         return topk_int(pa.table({"query_id": pa.array([], pa.int64()),
                                   "neighbor_id": pa.array([], pa.int64()),

@@ -89,7 +89,8 @@ def nb_fit(ds, text_col: str = "text", label_col: str = "label",
                          "n": pa.array(n, pa.int64())})
 
     parts = [t for t in ray.get(
-        ds.map_batches(label_partial, batch_format="pyarrow").to_arrow_refs()
+        ds.map_batches(label_partial, batch_format="pyarrow")
+        .materialize().to_arrow_refs()
     ) if t.num_rows]
     if not parts:
         raise ValueError("nb_fit: empty input")
@@ -172,7 +173,7 @@ def nb_fit(ds, text_col: str = "text", label_col: str = "label",
 
     tot = np.zeros(len(classes), np.int64)
     for t in ray.get(counts.map_batches(
-            tot_partial, batch_format="pyarrow").to_arrow_refs()):
+            tot_partial, batch_format="pyarrow").materialize().to_arrow_refs()):
         if t.num_rows:
             np.add.at(tot, t["lab"].to_numpy(zero_copy_only=False),
                       t["t"].to_numpy(zero_copy_only=False))
@@ -215,7 +216,7 @@ def nb_classify(
     n_vocab = counts.count()
     if n_vocab * (8 + 8 * C) <= BROADCAST_BYTES:
         # model matrix: V sorted kh + (V x C) int64 micro, defaults filled
-        tabs = [t for t in ray.get(counts.to_arrow_refs()) if t.num_rows]
+        tabs = [t for t in ray.get(counts.materialize().to_arrow_refs()) if t.num_rows]
         if tabs:
             ct = pa.concat_tables(tabs).combine_chunks()
             kh = ct["kh"].to_numpy(zero_copy_only=False)

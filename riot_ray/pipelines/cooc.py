@@ -179,7 +179,7 @@ def ppmi_embeddings(ds, dim: int = 32, window: int = 5,
         pairs.map_batches(marg_partial, batch_format="pyarrow")
         .groupby("__part")
         .map_groups(marg_reduce_top, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+        .materialize().to_arrow_refs()) if t.num_rows]
     if not marg_tabs:
         return [], np.empty((0, dim))
     mt = pa.concat_tables(marg_tabs).combine_chunks()
@@ -214,7 +214,7 @@ def ppmi_embeddings(ds, dim: int = 32, window: int = 5,
 
     blk_tabs = [t for t in ray.get(
         pairs.map_batches(block_pairs, batch_format="pyarrow")
-        .to_arrow_refs()) if t.num_rows]
+        .materialize().to_arrow_refs()) if t.num_rows]
     V = len(sel_toks)
     M = np.zeros((V, V))
     # row index in the OUTPUT order (sel_toks order): map token -> row
@@ -317,7 +317,7 @@ def pmi_pairs(ds, text_col: str = "text", window: int = 5,
                          "pmi_micro": pa.array(pmi, pa.int64())})
 
     if n_vocab * 24 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(marg.to_arrow_refs()) if t.num_rows]
+        tabs = [t for t in ray.get(marg.materialize().to_arrow_refs()) if t.num_rows]
         mt = pa.concat_tables(tabs).combine_chunks()
         toks = np.asarray(mt["tok"].to_pylist(), dtype=object)
         ms = mt["m"].to_numpy(zero_copy_only=False)

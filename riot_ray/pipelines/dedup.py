@@ -271,7 +271,7 @@ def _broadcast_attach(pairs, values, id_col: str, payload_cols: list[str]):
     shuffle join by avoiding two extra sort exchanges over the pairs."""
     import ray
 
-    tabs = [t for t in ray.get(values.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in ray.get(values.materialize().to_arrow_refs()) if t.num_rows]
     t = pa.concat_tables(tabs).combine_chunks()
     ids = t[id_col].to_numpy(zero_copy_only=False)
     order = np.argsort(ids)
@@ -1777,7 +1777,7 @@ def embedding_dup_pairs(
     blocks = ds.map_batches(
         lambda b: _pack_norm_vec(b, id_col, vec_col), batch_format="pyarrow"
     )
-    refs = [r for r in blocks.to_arrow_refs()]
+    refs = [r for r in blocks.materialize().to_arrow_refs()]
 
     @ray.remote
     def tile(ta: pa.Table, tb: pa.Table, same: bool) -> pa.Table:

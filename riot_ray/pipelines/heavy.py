@@ -139,7 +139,8 @@ def heavy_hitters(ds, text_col: str = "text", one_over: int = 200,
 
     counts = np.zeros(len(cands_sorted), np.int64)
     # one ref at a time: bounds driver memory at one k-vector block
-    for ref in ds.map_batches(recount, batch_format="pyarrow").to_arrow_refs():
+    for ref in (ds.map_batches(recount, batch_format="pyarrow")
+                .materialize().to_arrow_refs()):
         t = ray.get(ref)
         for row in t["v"].to_pylist():
             counts += np.asarray(row, np.int64)

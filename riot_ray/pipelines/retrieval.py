@@ -206,7 +206,7 @@ def rrf_fuse(
     import ray
 
     out = ds.groupby("query_id").map_groups(per_query, batch_format="pyarrow")
-    tabs = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in ray.get(out.materialize().to_arrow_refs()) if t.num_rows]
     if not tabs:
         return _rrf_kernel(
             np.empty(0, np.int64), np.empty(0, np.int64),

@@ -77,7 +77,8 @@ def _bucket_counts(ds, text_col: str, n_buckets: int, ngrams: int) -> np.ndarray
                                        pa.list_(pa.int64()))})
 
     out = np.zeros(n_buckets, np.int64)
-    for t in ray.get(ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs()):
+    for t in ray.get(ds.map_batches(partial, batch_format="pyarrow")
+                     .materialize().to_arrow_refs()):
         if t.num_rows:
             arr = t["c"].combine_chunks()
             vals = np.asarray(arr.flatten(), np.int64).reshape(-1, n_buckets)

@@ -127,7 +127,7 @@ def _reduce_topk(partials_ds, k: int) -> pa.Table:
     reduced = mat.groupby("query_id").map_groups(
         per_query, batch_format="pyarrow"
     )
-    tabs = [t for t in ray.get(reduced.to_arrow_refs()) if t.num_rows]
+    tabs = [t for t in ray.get(reduced.materialize().to_arrow_refs()) if t.num_rows]
     if not tabs:
         return _empty_result()
     tbl = pa.concat_tables(tabs).combine_chunks()
@@ -908,7 +908,8 @@ def kmeans_fit(
         sums = np.zeros_like(C)
         cnt = np.zeros(k, np.int64)
         inertia = 0.0
-        for ref in ds.map_batches(stats, batch_format="pyarrow").to_arrow_refs():
+        for ref in (ds.map_batches(stats, batch_format="pyarrow")
+                    .materialize().to_arrow_refs()):
             t = ray.get(ref)
             for row in t["s"].to_pylist():
                 sums += np.asarray(row).reshape(C.shape)
@@ -975,7 +976,7 @@ def embedding_pca_fit(ds, k: int = 8, emb_col: str = "embedding"):
         })
 
     parts = [t for t in ray.get(
-        ds.map_batches(partials, batch_format="pyarrow").to_arrow_refs()
+        ds.map_batches(partials, batch_format="pyarrow").materialize().to_arrow_refs()
     ) if t.num_rows]
     n = sum(int(x) for t in parts for x in t["n"].to_pylist())
     if n < 2:
@@ -1047,7 +1048,7 @@ def embedding_scales(ds, vec_col: str = "embedding") -> np.ndarray:
 
     tabs = [
         t for t in ray.get(
-            ds.map_batches(partial, batch_format="pyarrow").to_arrow_refs())
+            ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs())
         if t.num_rows
     ]
     if not tabs:

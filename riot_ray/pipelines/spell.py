@@ -90,7 +90,7 @@ def spell_correct(terms_ds, queries, k: int = 5, max_edit: int = 1):
         return _topk_partial(tbl, k)
 
     parts = [t for t in ray.get(
-        terms_ds.map_batches(local, batch_format="pyarrow").to_arrow_refs()
+        terms_ds.map_batches(local, batch_format="pyarrow").materialize().to_arrow_refs()
     ) if t.num_rows]
     if parts:
         allp = _topk_partial(pa.concat_tables(parts).combine_chunks(), k)
@@ -144,7 +144,7 @@ def suggest_terms(terms_ds, prefix: str, k: int = 10):
                          "df": pa.array(df[order].astype(np.int64), pa.int64())})
 
     parts = [t for t in ray.get(
-        terms_ds.map_batches(local, batch_format="pyarrow").to_arrow_refs()
+        terms_ds.map_batches(local, batch_format="pyarrow").materialize().to_arrow_refs()
     ) if t.num_rows]
     if not parts:
         return pa.table({"term": pa.array([], pa.string()),

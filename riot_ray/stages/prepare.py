@@ -127,6 +127,33 @@ def make_prepare_fn(opts: EngineOpts):
     return prepare
 
 
+def write_forward_part(forward_dir: str, part: int, table: pa.Table,
+                       fingerprint: str, t0: float, **fields) -> dict:
+    """Write ``forward/part=K.parquet`` and then its manifest, each by an
+    atomic tmp+rename, and return the manifest: ``n_docs`` is the part's
+    row count, ``fields`` are added before ``bytes`` and ``wall_s`` (since
+    ``t0``).  The one writer of forward parts — the build, add_docs and
+    compact — so a manifest always describes its part."""
+    os.makedirs(forward_dir, exist_ok=True)
+    final = os.path.join(forward_dir, f"part={part:05d}.parquet")
+    tmp = os.path.join(forward_dir, f".tmp-{part:05d}-{uuid.uuid4().hex}.parquet")
+    pq.write_table(table, tmp)
+    os.replace(tmp, final)
+    manifest = {
+        "part": part,
+        "fingerprint": fingerprint,
+        "n_docs": table.num_rows,
+        **fields,
+        "bytes": os.path.getsize(final),
+        "wall_s": round(time.time() - t0, 4),
+    }
+    tmp = os.path.join(forward_dir, f".tmp-{part:05d}-{uuid.uuid4().hex}.json")
+    with open(tmp, "w") as f:
+        json.dump(manifest, f)
+    os.replace(tmp, os.path.join(forward_dir, f"part={part:05d}.manifest.json"))
+    return manifest
+
+
 class AssignIds:
     """Per-part group fn: sort by (doc_id, seq), keep-last, assign dense u64,
     write the forward-table part atomically.  Returns either a manifest row
@@ -172,21 +199,10 @@ class AssignIds:
         if not opts.store_content and opts.content_col in group.column_names:
             group = group.drop_columns([opts.content_col])
 
-        os.makedirs(self.forward_dir, exist_ok=True)
-        final = os.path.join(self.forward_dir, f"part={part:05d}.parquet")
-        tmp = os.path.join(self.forward_dir, f".tmp-{part:05d}-{uuid.uuid4().hex}.parquet")
-        pq.write_table(group, tmp)
-        os.replace(tmp, final)
-        manifest = {
-            "part": part,
-            "fingerprint": self.fingerprint,
-            "n_docs": n,
-            "n_dups_dropped": int(len(doc_ids) - n),
-            "bytes": os.path.getsize(final),
-            "wall_s": round(time.time() - t0, 4),
-        }
-        with open(os.path.join(self.forward_dir, f"part={part:05d}.manifest.json"), "w") as f:
-            json.dump(manifest, f)
+        manifest = write_forward_part(
+            self.forward_dir, part, group, self.fingerprint, t0,
+            n_dups_dropped=int(len(doc_ids) - n),
+        )
         if ret is not None:
             return ret
         return pa.table(

@@ -46,9 +46,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .build import STATS_FILE, IndexWriter, load_stats, map_groups_local
+from .build import (STATS_FILE, IndexWriter, forward_doc_count, load_stats,
+                    map_groups_local)
 from .config import PART_SHIFT, EngineOpts, shard_of_part
-from .stages.prepare import keep_columns, make_prepare_fn
+from .stages.prepare import keep_columns, make_prepare_fn, write_forward_part
 from .stages.segments import shard_dir
 
 
@@ -96,6 +97,16 @@ def _write_tombstones(index_dir: str, docs: np.ndarray) -> str:
 # it near 5k rows at 32 CPUs and 12k at 4 CPUs, an estimate only.  Same
 # role as IndexWriter.DRIVER_DF_ROWS.
 LOCAL_MAX_ROWS = 10_000
+
+
+def _build_fingerprint(index_dir: str, stats: dict) -> str:
+    """The build fingerprint the forward manifests carry.  Parts rewritten
+    by add_docs / compact keep it, so a later build's stale-output sweep
+    treats them as parts of the build they extend."""
+    for man in glob.glob(os.path.join(index_dir, "forward", "part=*.manifest.json")):
+        with open(man) as f:
+            return json.load(f)["fingerprint"]
+    return stats["fingerprint"]
 
 
 def _in_process(files: list[str], extra_rows: int = 0) -> bool:
@@ -172,16 +183,16 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
     touched_files = [f for f in _forward_parts(index_dir) if _part_of(f) in dead_parts]
 
     # 1) rewrite touched forward parts minus dead docs (atomic per part)
+    w = IndexWriter(index_dir, opts, tokenizer_factory=tokenizer_factory)
+    build_fp = _build_fingerprint(index_dir, stats)
     for f in touched_files:  # few parts; each rewrite is independent
+        t1 = time.time()
         t = pq.read_table(f)
         doc = t["doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
         t = t.filter(pa.array(~np.isin(doc, tomb)))
-        tmp = f + f".tmp-{uuid.uuid4().hex}"
-        pq.write_table(t, tmp)
-        os.replace(tmp, f)
+        write_forward_part(w.forward_dir, _part_of(f), t, build_fp, t1)
 
     # 2) rebuild shards owning those parts, from the (now clean) forward table
-    w = IndexWriter(index_dir, opts, tokenizer_factory=tokenizer_factory)
     fp = f"compact-{uuid.uuid4().hex[:12]}"
     files = _shard_files(index_dir, opts, dead_shards)
     rebuilt: set = set()
@@ -291,8 +302,8 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
     else:
         import ray
 
-        parts = [t["part"] for t in ray.get(new.select_columns(["part"]).to_arrow_refs())
-                 if t.num_rows]
+        part_col = new.select_columns(["part"]).materialize()
+        parts = [t["part"] for t in ray.get(part_col.to_arrow_refs()) if t.num_rows]
         cols = new.schema().names
     touched = {int(p) for c in parts for p in pc.unique(c).to_pylist()}
     cols = cols + ["__gen", "doc"]
@@ -312,7 +323,7 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
     # union existing part rows (__gen=0, doc known) with incoming (__gen=1):
     # the merge group fn is then a PURE function of its group — safe under
     # Ray task retry/re-execution (no read-modify-write of mutable files).
-    merger = _MergePart(opts, w.forward_dir)
+    merger = _MergePart(opts, w.forward_dir, _build_fingerprint(index_dir, stats))
     if local:
         merged = pa.concat_tables(
             [_tag_new(new)] + [_tag_existing(pq.read_table(f), cols) for f in existing_files],
@@ -363,14 +374,17 @@ class _MergePart:
     """Group fn for add_docs.  The group carries BOTH the part's existing
     forward rows (__gen=0, doc assigned) and the incoming rows (__gen=1):
     a pure function of the group — idempotent under Ray task retries; the
-    only side effect is the atomic tmp+rename of the derived part file."""
+    only side effect is the atomic write of the derived part file and its
+    manifest, which keeps the build's ``fingerprint``."""
 
-    def __init__(self, opts: EngineOpts, forward_dir: str):
+    def __init__(self, opts: EngineOpts, forward_dir: str, fingerprint: str):
         self.opts = opts
         self.forward_dir = forward_dir
+        self.fingerprint = fingerprint
         self.__name__ = "MergePart"
 
     def __call__(self, group: pa.Table) -> pa.Table:
+        t0 = time.time()
         opts = self.opts
         part = int(group["part"][0].as_py())
         gen = group["__gen"].to_numpy(zero_copy_only=False)
@@ -411,11 +425,7 @@ class _MergePart:
         if not opts.store_content and opts.content_col in out.column_names:
             out = out.drop_columns([opts.content_col])
 
-        os.makedirs(self.forward_dir, exist_ok=True)
-        final = os.path.join(self.forward_dir, f"part={part:05d}.parquet")
-        tmp = os.path.join(self.forward_dir, f".tmp-{part:05d}-{uuid.uuid4().hex}.parquet")
-        pq.write_table(out, tmp)
-        os.replace(tmp, final)
+        write_forward_part(self.forward_dir, part, out, self.fingerprint, t0)
         return pa.table(
             {
                 "part": pa.array([part], pa.int32()),
@@ -444,7 +454,7 @@ def _refresh_stats(index_dir: str, w: IndexWriter, old_stats: dict, fp: str):
         n_postings=tot["n_postings"],
         n_terms_with_dups_across_shards=tot["n_terms"],
         n_blocks=tot["n_blocks"],
-        n_docs_forward=sum(pq.read_metadata(f).num_rows for f in _forward_parts(index_dir)),
+        n_docs_forward=forward_doc_count(w.forward_dir),
         fingerprint=fp,
         generations=old_stats.get("generations", [0]) + [fp],
     )

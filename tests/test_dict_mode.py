@@ -4,7 +4,12 @@ Conformance fixtures are the reference's OWN dictionaries and goldens:
 /root/reference/testdata/test_dict{,_jp}.txt driven through the scenarios of
 /root/reference/engine_test.go (TestEngineIndexDoc:36-60, TestSearchJp:562-597,
 TestSearchGse:617-661) — token choice, byte-offset snippet locations and
-1/(proximity+1) scores pinned to int(score*1000)."""
+1/(proximity+1) scores pinned to int(score*1000).
+
+Every test also runs over the in-repo fixture dictionaries
+(``tests/fixtures/dict_{zh,ja}.txt``, FIXTURES.md F10), under which the same
+goldens follow by hand from the DictSegmenter DP; the reference runs are
+skipped where the reference checkout is absent."""
 
 import os
 
@@ -20,13 +25,27 @@ from riot_ray.types import RankOpts, SearchReq
 
 CN_DICT = "/root/reference/testdata/test_dict.txt"
 JP_DICT = "/root/reference/testdata/test_dict_jp.txt"
+FIXTURE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+DICTS = {
+    "fixture": (os.path.join(FIXTURE_DIR, "dict_zh.txt"),
+                os.path.join(FIXTURE_DIR, "dict_ja.txt")),
+    "reference": (CN_DICT, JP_DICT),
+}
+SOURCES = ["fixture", pytest.param("reference", marks=pytest.mark.skipif(
+    not os.path.exists(CN_DICT), reason="reference dictionaries absent"))]
+
+
+@pytest.fixture(params=SOURCES)
+def dicts(request):
+    """(Chinese, Japanese) dictionary paths."""
+    return DICTS[request.param]
 
 
 # --------------------------------------------------------------------------- #
 # segmenter unit level
 # --------------------------------------------------------------------------- #
-def test_segmenter_max_probability_dp():
-    seg = DictSegmenter(CN_DICT)
+def test_segmenter_max_probability_dp(dicts):
+    seg = DictSegmenter(dicts[0])
     toks = seg.segment("有七十亿人口人口")
     assert [t for t, _ in toks] == ["有", "七十亿", "人口", "人口"]
     # byte offsets: 有=3B, 七十亿=9B, 人口=6B each
@@ -36,8 +55,18 @@ def test_segmenter_max_probability_dp():
     assert [t for t, _ in seg.segment("人口")] == ["人口"]
 
 
-def test_segmenter_latin_runs_and_positions():
-    seg = DictSegmenter(CN_DICT)
+def test_fixture_dict_dp_weighs_frequencies():
+    """Fixture dictionary (total frequency T = 117): a word's cost is
+    log2(T / freq).  在路上 -> 在|路上 costs log2(T^2 / (30*6)), below
+    在路|上 (T^2 / 12) and 在|路|上 (T^3 / 1800); but 在路 alone (freq 1)
+    loses to 在|路 because 30*5 > T."""
+    seg = DictSegmenter(DICTS["fixture"][0])
+    assert seg.segment("在路上") == [("在", 0), ("路上", 3)]
+    assert seg.segment("在路") == [("在", 0), ("路", 3)]
+
+
+def test_segmenter_latin_runs_and_positions(dicts):
+    seg = DictSegmenter(dicts[0])
     toks = seg.segment("The world, 有七十亿人口人口")
     assert ("the", 0) in toks and ("world", 4) in toks
     assert ("人口", 23) in toks and ("人口", 29) in toks
@@ -102,10 +131,10 @@ def _build_dict_index(tmp_path, name, rows, dict_path):
     return LocalSearcher(idx)
 
 
-@pytest.fixture(scope="module")
-def cn_engine(ray_session, tmp_path_factory):
+@pytest.fixture(scope="module", params=SOURCES)
+def cn_engine(request, ray_session, tmp_path_factory):
     return _build_dict_index(
-        tmp_path_factory.mktemp("dict_cn"), "cn", ADD_DOCS, CN_DICT
+        tmp_path_factory.mktemp("dict_cn"), "cn", ADD_DOCS, DICTS[request.param][0]
     )
 
 
@@ -130,11 +159,11 @@ def test_engine_index_doc_goldens(cn_engine):
     assert list(docs[2].token_snippet_locs) == [4, 23]
 
 
-def test_search_jp_goldens(ray_session, tmp_path_factory):
+def test_search_jp_goldens(ray_session, tmp_path_factory, dicts):
     """TestSearchJp (engine_test.go:562-597): doc 7 only, score 1000,
     snippet [0, 15]."""
     rows = ADD_DOCS + [("7", "こんにちは世界, こんにちは")]
-    s = _build_dict_index(tmp_path_factory.mktemp("dict_jp"), "jp", rows, JP_DICT)
+    s = _build_dict_index(tmp_path_factory.mktemp("dict_jp"), "jp", rows, dicts[1])
     resp = s.search(
         SearchReq(
             text="こんにちは世界",
@@ -152,7 +181,7 @@ def test_search_jp_goldens(ray_session, tmp_path_factory):
     assert list(resp.docs[0].token_snippet_locs) == [0, 15]
 
 
-def test_search_gse_goldens(ray_session, tmp_path_factory):
+def test_search_gse_goldens(ray_session, tmp_path_factory, dicts):
     """TestSearchGse (engine_test.go:617-661): external tokens MERGE with
     dict segmentation (Using=0); reverse order puts doc 8 (score 142,
     snippet [10, 19]) before doc 7 (1000, [0, 15])."""
@@ -185,7 +214,7 @@ def test_search_gse_goldens(ray_session, tmp_path_factory):
     pq.write_table(table, src)
     opts = EngineOpts(
         mode="dict",
-        dict_path=JP_DICT,
+        dict_path=dicts[1],
         index_type=LOCS_INDEX,
         id_cols=("doc_id",),
         content_col="content",

@@ -159,6 +159,53 @@ def test_stats_current_after_add_remove_compact(ray_session, tmp_path):
     assert _stats_match_files(idx)["n_docs_forward"] == 126
 
 
+@pytest.mark.parametrize("ray_path", [False, True])
+def test_forward_manifests_follow_add_and_compact(ray_session, tmp_path, monkeypatch,
+                                                  ray_path):
+    """Every forward part's manifest describes the part on disk: its n_docs
+    equals the Parquet footer's row count after a build, an add with new
+    and replaced ids, and remove+compact — in-process and on Ray — and it
+    keeps the build fingerprint."""
+    import glob
+    import json
+
+    import ray.data as rd
+
+    from riot_ray import updates
+
+    if ray_path:
+        monkeypatch.setattr(updates, "LOCAL_MAX_ROWS", 0)
+    full = make_corpus(90, seed=12)
+    idx = _build(str(tmp_path), "man", full.slice(0, 60))
+    build_fp = load_stats(idx)["fingerprint"]
+
+    def check():
+        parts = sorted(glob.glob(os.path.join(idx, "forward", "part=*.parquet")))
+        mans = sorted(glob.glob(os.path.join(idx, "forward", "part=*.manifest.json")))
+        assert [m.replace(".manifest.json", ".parquet") for m in mans] == parts
+        for f in parts:
+            with open(f.replace(".parquet", ".manifest.json")) as fh:
+                m = json.load(fh)
+            assert m["n_docs"] == pq.read_metadata(f).num_rows, f
+            assert m["fingerprint"] == build_fp
+        return sum(pq.read_metadata(f).num_rows for f in parts)
+
+    assert check() == 60
+    texts = full["content"].to_pylist()
+    for i in range(5):
+        texts[i] += "\nzebra_token"
+    changed = full.set_column(full.column_names.index("content"), "content",
+                              pa.array(texts, pa.string()))
+    out = add_docs(idx, rd.from_arrow(pa.concat_tables([changed.slice(0, 5),
+                                                        changed.slice(60, 30)])))
+    assert out["n_added"] == 35 and out["n_replaced"] == 5
+    assert check() == 90 == _stats_match_files(idx)["n_docs_forward"]
+    victims = [h.doc_id for h in LocalSearcher(idx).search(SearchReq(text="def")).docs[:6]]
+    assert remove_docs(idx, victims)["n_removed"] == 6
+    compact(idx)
+    assert check() == 84 == _stats_match_files(idx)["n_docs_forward"]
+
+
 def __table_to_ds(table):
     import ray.data as rd
 
@@ -365,6 +412,27 @@ def test_reload_replicated(ray_session, tmp_path):
         assert [rs.search(SearchReq(text="def")).num_docs for _ in range(2)] == [50, 50]
     finally:
         rs.shutdown()
+
+
+def test_reload_dist(ray_session, tmp_path):
+    """DistSearcher nodes load at construction: an add right after it stays
+    invisible (snapshot) until reload()."""
+    import ray.data as rd
+
+    from riot_ray.engine import DistSearcher
+
+    full = make_corpus(70, seed=24)
+    node_a = _build(str(tmp_path), "nodea", full.slice(0, 30))
+    node_b = _build(str(tmp_path), "nodeb", full.slice(30, 30))
+    ds = DistSearcher([node_a, node_b])
+    try:
+        assert ds.search(SearchReq(text="def")).num_docs == 60
+        add_docs(node_a, rd.from_arrow(full.slice(60, 10)))
+        assert ds.search(SearchReq(text="def")).num_docs == 60  # snapshot
+        ds.reload()
+        assert ds.search(SearchReq(text="def")).num_docs == 70
+    finally:
+        ds.shutdown()
 
 
 def test_reload_survives_worker_restart(ray_session, tmp_path):
