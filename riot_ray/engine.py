@@ -384,25 +384,15 @@ class ShardSet:
     def run(self, method, kwargs, rank, keep, count_only, orderless):
         """One planned query over every hosted shard: (ranked hits per
         shard, num_scored, num_found, merged facets)."""
-        if (method == "search" and not orderless and not count_only
-                and rank.scoring_criteria is None and not rank.reverse_order):
-            # default rank path: defer doc-id string materialization to the
-            # top-k boundary inside rank_hits (with_ids=False) — common
-            # terms otherwise gather an object array for most of the shard
-            kwargs = {**kwargs, "with_ids": False}
         per_shard, num_scored, num_found, facets = [], 0, 0, None
         for s in self.shards:
             out = getattr(s, method)(**kwargs)
-            hits, num = out[0], out[1]
             if len(out) > 2:
                 facets = merge_facets(facets, out[2])
-            num_found += num
+            num_found += out[1]
             if count_only:
                 continue
-            if orderless:
-                per_shard.append(rank_hit_passthrough(hits))
-                continue
-            ranked, n_scored = rank_hits(hits, rank, s, keep)
+            ranked, n_scored = rank_hits(out[0], rank, s, keep, orderless)
             num_scored += n_scored
             per_shard.append(ranked)
         return per_shard, num_scored, num_found, facets
@@ -453,12 +443,6 @@ def merge_facets(acc, fc):
         for v, n in d.items():
             tgt[v] = tgt.get(v, 0) + n
     return acc
-
-
-def rank_hit_passthrough(hits):
-    """Orderless mode: materialize every hit unranked
-    (/root/reference/indexer_worker.go:75-113)."""
-    return [hits.hit_at(i) for i in range(len(hits))]
 
 
 # --------------------------------------------------------------------------- #

@@ -30,17 +30,9 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from ..query import lookup_sorted
+
 TWO64 = float(2**64)
-
-
-def lookup_sorted(sorted_arr: np.ndarray, x: np.ndarray):
-    """(positions, hit mask) of ``x`` in a sorted unique array — the one
-    shared implementation of the clamped-searchsorted membership idiom
-    (empty-array safe; misses point at position 0 with hit=False)."""
-    if len(sorted_arr) == 0:
-        return np.zeros(len(x), np.int64), np.zeros(len(x), bool)
-    pos = np.minimum(np.searchsorted(sorted_arr, x), len(sorted_arr) - 1)
-    return pos, sorted_arr[pos] == x
 
 
 def _id_hashes(ids: np.ndarray, seed: int) -> np.ndarray:

@@ -841,6 +841,33 @@ def knn_pq_query(
 # --------------------------------------------------------------------------- #
 # full-corpus distributed k-means (Lloyd over streaming sufficient stats)
 # --------------------------------------------------------------------------- #
+def _kmeans_stats(batch: pa.Table, cref, vec_col: str,
+                  spherical: bool) -> pa.Table:
+    """One Lloyd pass over a batch: (k x d sums, k counts, inertia) against
+    the centroids behind the object ref ``cref``.  Module-level, so every
+    iteration of :func:`kmeans_fit` hands Ray the same task function."""
+    import ray
+
+    g_C = ray.get(cref)
+    V = np.stack(
+        batch[vec_col].to_numpy(zero_copy_only=False)
+    ).astype(np.float64)
+    if spherical:
+        V = _normalize(V)
+    d2b = ((V * V).sum(1, keepdims=True)
+           - 2.0 * (V @ g_C.T) + (g_C * g_C).sum(1)[None, :])
+    a = np.argmin(d2b, axis=1)
+    sums = np.zeros_like(g_C)
+    np.add.at(sums, a, V)
+    cnt = np.bincount(a, minlength=len(g_C)).astype(np.int64)
+    return pa.table({
+        "s": pa.array([sums.reshape(-1)], pa.list_(pa.float64())),
+        "c": pa.array([cnt], pa.list_(pa.int64())),
+        "j": pa.array([float(np.take_along_axis(
+            d2b, a[:, None], axis=1).sum())], pa.float64()),
+    })
+
+
 def kmeans_fit(
     ds,
     k: int = 16,
@@ -883,32 +910,11 @@ def kmeans_fit(
     it = 0
     inertia = float("inf")
     for it in range(1, iters + 1):
-        cref = ray.put(C)
-
-        def stats(batch: pa.Table) -> pa.Table:
-            g_C = ray.get(cref)
-            V = np.stack(
-                batch[vec_col].to_numpy(zero_copy_only=False)
-            ).astype(np.float64)
-            if spherical:
-                V = _normalize(V)
-            d2b = ((V * V).sum(1, keepdims=True)
-                   - 2.0 * (V @ g_C.T) + (g_C * g_C).sum(1)[None, :])
-            a = np.argmin(d2b, axis=1)
-            sums = np.zeros_like(g_C)
-            np.add.at(sums, a, V)
-            cnt = np.bincount(a, minlength=len(g_C)).astype(np.int64)
-            return pa.table({
-                "s": pa.array([sums.reshape(-1)], pa.list_(pa.float64())),
-                "c": pa.array([cnt], pa.list_(pa.int64())),
-                "j": pa.array([float(np.take_along_axis(
-                    d2b, a[:, None], axis=1).sum())], pa.float64()),
-            })
-
         sums = np.zeros_like(C)
         cnt = np.zeros(k, np.int64)
         inertia = 0.0
-        for ref in (ds.map_batches(stats, batch_format="pyarrow")
+        for ref in (ds.map_batches(_kmeans_stats, batch_format="pyarrow",
+                                   fn_args=(ray.put(C), vec_col, spherical))
                     .materialize().to_arrow_refs()):
             t = ray.get(ref)
             for row in t["s"].to_pylist():

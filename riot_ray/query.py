@@ -11,6 +11,24 @@ operation in float32 (idf computed via log2 in float64 then cast, exactly
 like Go's ``float32(math.Log2(...))``), accumulated per query token in token
 order — the rank-identity contract.  ``score_dtype="float64"`` switches the
 same kernel to f64 for DuckDB-oracle comparison.
+
+The four ``ShardData`` kernels (``search``, ``phrase_search``,
+``logic_search``, ``search_wand``) and :func:`rank_hits` share one copy of
+each step of a shard query:
+
+* :func:`lookup_sorted` — the sorted membership probe (AND intersection,
+  tombstones, allowlists, WAND's probe of the other terms);
+* ``ShardData._and_candidates_rows`` — the AND intersection (also the
+  Must set of a logic query);
+* ``ShardData._live`` — the tombstone + allowlist filter, shrinking the
+  candidates and the per-candidate columns they carry in step;
+* ``ShardData._bm25`` — the BM25 accumulator;
+* :func:`top_k` — the cut at the k boundary (rank and WAND's running top-k);
+* :func:`gather_ranges` — the multi-range gather (positions, WAND blocks);
+* :func:`_cache_put` — the bounded FIFO insert of the per-term caches.
+
+Kernels return a :class:`HitBlock` of internal doc numbers; doc-id strings
+are resolved once, in :func:`rank_hits`, for the hits it keeps.
 """
 
 from __future__ import annotations
@@ -66,6 +84,58 @@ def bm25_term_scores_prenorm(idf, freq, norm, k1, dtype=np.float32):
 def default_scoring(hit: ScoredHit, fields) -> tuple:
     """RankByBM25 (/root/reference/types/scoring_criteria.go:27-33)."""
     return (hit.bm25,)
+
+
+# --------------------------------------------------------------------------- #
+# shared shard-query primitives
+# --------------------------------------------------------------------------- #
+def lookup_sorted(sorted_arr: np.ndarray, x: np.ndarray):
+    """(positions, hit mask) of ``x`` in a sorted array — the one
+    shared implementation of the clamped-searchsorted membership idiom
+    (empty-array safe; misses point at position 0 with hit=False)."""
+    if len(sorted_arr) == 0:
+        return np.zeros(len(x), np.int64), np.zeros(len(x), bool)
+    pos = np.minimum(np.searchsorted(sorted_arr, x), len(sorted_arr) - 1)
+    return pos, sorted_arr[pos] == x
+
+
+def gather_ranges(offs: np.ndarray, idx: np.ndarray):
+    """(rows, lens): the rows ``offs[i]:offs[i+1]`` of every ``i`` in
+    ``idx``, concatenated in ``idx`` order, and each range's length — the
+    vectorized multi-range gather (no per-range Python loop)."""
+    starts = offs[idx]
+    lens = offs[idx + 1] - starts
+    shift = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
+    return shift + np.arange(int(lens.sum()), dtype=np.int64), lens
+
+
+def top_k(scores: np.ndarray, ids_of, k: int):
+    """(indices, doc ids) of the top ``k`` of ``scores`` (all of them when
+    ``k`` is 0) in (score desc, doc_id asc) order.  An O(n) select-kth
+    keeps every candidate tied with or above the k-th largest score; only
+    that boundary set gets its doc-id strings (``ids_of(indices)``) and the
+    exact two-key sort, so the cut equals a full sort's top slice."""
+    n = len(scores)
+    if 0 < k < n:
+        kth = np.partition(scores, n - k)[n - k]
+        sel = np.flatnonzero(scores >= kth)
+    else:
+        sel = np.arange(n)
+    ids = ids_of(sel)
+    o = np.argsort(ids, kind="stable")                 # doc_id asc
+    o = o[np.argsort(-scores[sel][o], kind="stable")]  # score desc
+    if k > 0:
+        o = o[:k]
+    return sel[o], ids[o]
+
+
+def _cache_put(cache: dict, cap: int, key, value):
+    """Insert into a bounded per-term cache, first evicting the oldest
+    entry (FIFO, insertion order) once it holds more than ``cap``."""
+    if len(cache) > cap:
+        cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
 
 
 # --------------------------------------------------------------------------- #
@@ -309,11 +379,14 @@ class _TokenLocsSeq:
 # default-scoring rank path is one vectorized argsort, not 2N allocations)
 # --------------------------------------------------------------------------- #
 class HitBlock:
-    __slots__ = ("doc", "doc_id", "bm25", "proximity", "snippet", "token_locs")
+    """Kernel output: internal doc numbers and their scores.  Doc-id
+    strings are not carried; :func:`rank_hits` resolves them for the hits
+    it keeps."""
 
-    def __init__(self, doc, doc_id, bm25, proximity=None, snippet=None, token_locs=None):
+    __slots__ = ("doc", "bm25", "proximity", "snippet", "token_locs")
+
+    def __init__(self, doc, bm25, proximity=None, snippet=None, token_locs=None):
         self.doc = doc              # u64[n]
-        self.doc_id = doc_id        # object[n]
         self.bm25 = bm25            # f64[n]
         self.proximity = proximity  # i64[n] | None (locs mode)
         self.snippet = snippet      # list[tuple] | None
@@ -324,24 +397,21 @@ class HitBlock:
 
     @staticmethod
     def empty():
-        return HitBlock(
-            np.empty(0, np.uint64), np.empty(0, object), np.empty(0, np.float64)
-        )
+        return HitBlock(np.empty(0, np.uint64), np.empty(0, np.float64))
 
     def take(self, mask: np.ndarray) -> "HitBlock":
         idx = np.flatnonzero(mask)
         return HitBlock(
             self.doc[idx],
-            self.doc_id[idx],
             self.bm25[idx],
             self.proximity[idx] if self.proximity is not None else None,
             [self.snippet[i] for i in idx] if self.snippet is not None else None,
             [self.token_locs[i] for i in idx] if self.token_locs is not None else None,
         )
 
-    def hit_at(self, i: int) -> ScoredHit:
+    def hit_at(self, i: int, doc_id: str) -> ScoredHit:
         return ScoredHit(
-            doc_id=self.doc_id[i],
+            doc_id=doc_id,
             doc=int(self.doc[i]),
             bm25=float(self.bm25[i]),
             token_proximity=int(self.proximity[i]) if self.proximity is not None else -1,
@@ -433,7 +503,8 @@ class ShardData:
 
     # -- decode ----------------------------------------------------------- #
     def postings(self, term: str):
-        """(docs u64 asc, tfs f32) for a term, fully decoded (LRU-ish cache)."""
+        """(docs u64 asc, tfs f32) for a term, fully decoded (bounded FIFO
+        cache, :func:`_cache_put`)."""
         hit = self._cache.get(term)
         if hit is not None:
             return hit
@@ -451,16 +522,13 @@ class ShardData:
                 else np.empty(0, np.float32)
             )
             out = (docs, tfs)
-        if len(self._cache) > 4096:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[term] = out
-        return out
+        return _cache_put(self._cache, 4096, term, out)
 
     def _positions_decoded(self, term: str):
         """(values int64, offs int64) for a term's FULL posting order —
-        decoded once and LRU-cached per term (the decode is a binary join
-        over every posting row; per-query re-decoding dominated the
-        proximity path before this cache)."""
+        decoded once per term into a bounded FIFO cache (the decode is a
+        binary join over every posting row; per-query re-decoding dominated
+        the proximity path before this cache)."""
         hit = self._pos_cache.get(term)
         if hit is not None:
             return hit
@@ -478,37 +546,20 @@ class ShardData:
             offs = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=offs[1:])
             out = (values, offs)
-        if len(self._pos_cache) > 1024:
-            self._pos_cache.pop(next(iter(self._pos_cache)))
-        self._pos_cache[term] = out
-        return out
+        return _cache_put(self._pos_cache, 1024, term, out)
 
     def positions_flat(self, term: str, idx: np.ndarray):
         """Positions for posting rows ``idx``, as ONE flat (vals, offs)
-        pair in idx order — the vectorized multi-range gather (same idiom
-        as the WAND block gather), no per-row python lists."""
+        pair in idx order (:func:`gather_ranges`), no per-row python
+        lists."""
         values, offs_all = self._positions_decoded(term)
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0 or len(offs_all) <= 1:
             return np.empty(0, np.int64), np.zeros(len(idx) + 1, np.int64)
-        lens = offs_all[idx + 1] - offs_all[idx]
-        starts = offs_all[idx]
-        shift = np.repeat(
-            starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-        rows = shift + np.arange(int(lens.sum()), dtype=np.int64)
+        rows, lens = gather_ranges(offs_all, idx)
         offs = np.zeros(len(idx) + 1, np.int64)
         np.cumsum(lens, out=offs[1:])
         return values[rows], offs
-
-    def positions_of(self, term: str, idx: np.ndarray):
-        """Position lists for rows ``idx`` (indices into the term's posting
-        order). Returns list of python lists."""
-        vals, offs = self.positions_flat(term, idx)
-        return [vals[offs[i]: offs[i + 1]].tolist() for i in range(len(idx))]
-
-    def doc_lens(self, cand: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(self.dm_doc, cand)
-        return self.dm_len[i]
 
     def doc_ids_of(self, cand: np.ndarray) -> np.ndarray:
         i = np.searchsorted(self.fw_doc, cand)
@@ -545,23 +596,9 @@ class ShardData:
             order = np.argsort(self.fw_doc_id, kind="stable")
             self._id_order = order
             self._id_sorted_ids = self.fw_doc_id[order]
-        ids = self._id_sorted_ids
-        if ids.size == 0:
-            return np.empty(0, np.uint64)
         a = np.unique(np.asarray(list(allow_ids), dtype=object))
-        pos = np.searchsorted(ids, a)
-        ok = pos < ids.size
-        ok[ok] = ids[pos[ok]] == a[ok]
+        pos, ok = lookup_sorted(self._id_sorted_ids, a)
         return np.sort(self.fw_doc[self._id_order[pos[ok]]])
-
-    def _apply_allowlist(self, cand: np.ndarray, allow_ids) -> np.ndarray:
-        allowed = self.allowed_docs(allow_ids)
-        if allowed.size == 0:
-            return cand[:0]
-        pos = np.searchsorted(allowed, cand)
-        ok = pos < allowed.size
-        ok[ok] = allowed[pos[ok]] == cand[ok]
-        return cand[ok]
 
     def fields_of(self, doc: int) -> dict:
         if not self.hydrate_cols:
@@ -629,24 +666,41 @@ class ShardData:
         return out
 
     # -- lookup kernels --------------------------------------------------- #
-    def _alive(self, cand: np.ndarray) -> np.ndarray:
-        if self.tombstones.size:
-            # cand may contain duplicates (the NotIn-only quirk preserves
-            # them) — assume_unique would silently drop live docs
-            dead = np.isin(cand, self.tombstones)
-            cand = cand[~dead]
-        return cand
+    def _live(self, cand: np.ndarray, cols: dict, allow_ids):
+        """Drop tombstoned docs and, given an allowlist, docs outside it:
+        ``(cand, cols)`` shrunk in step, where ``cols`` maps names to
+        arrays aligned with ``cand`` (posting rows, term frequencies) so
+        later stages never re-probe.  ``cand`` may hold duplicates (the
+        NotIn-only quirk keeps them); every copy is probed."""
+        keep = None
+        if self.tombstones.size and cand.size:
+            keep = ~lookup_sorted(self.tombstones, cand)[1]
+        if allow_ids is not None and cand.size:
+            ok = lookup_sorted(self.allowed_docs(allow_ids), cand)[1]
+            keep = ok if keep is None else keep & ok
+        if keep is None:
+            return cand, cols
+        return cand[keep], {k: v[keep] for k, v in cols.items()}
 
-    def and_candidates(self, keywords: list) -> np.ndarray:
-        cand, _ = self._and_candidates_rows(keywords, ())
-        return cand
+    def _bm25(self, cand: np.ndarray, freqs: list, idfs: list, avgdl: float,
+              dtype) -> np.ndarray:
+        """BM25 of each candidate: per-doc norms gathered from
+        :meth:`bm25_norms`, each token's contribution added in token order
+        (the f32 conformance contract); a token with ``freq == 0`` (a
+        label, a demoted locs doc) contributes 0, as riot skips it."""
+        nrm = self.bm25_norms(avgdl, dtype)[np.searchsorted(self.dm_doc, cand)]
+        score = np.zeros(len(cand), dtype=dtype)
+        for idf, freq in zip(idfs, freqs):
+            contrib = bm25_term_scores_prenorm(idf, freq, nrm, self.opts.bm25.k1, dtype)
+            score = score + np.where(freq > 0, contrib, dtype(0.0))
+        return score
 
     def _and_candidates_rows(self, keywords: list, want_rows):
         """Sorted-list AND intersection (semantics of internalLookup,
         /root/reference/core/indexer.go:417-558), smallest list first.
-        Membership is a searchsorted probe of the small list into the
-        larger (O(s log L)) rather than ``np.intersect1d``, which re-sorts
-        the concatenation (O((s+L) log(s+L))) on every step.
+        Membership is a :func:`lookup_sorted` probe of the small list into
+        the larger (O(s log L)) rather than a set intersection, which
+        re-sorts the concatenation (O((s+L) log(s+L))) on every step.
 
         Returns ``(cand, rows)`` where ``rows[t]`` holds each candidate's
         row index in term t's posting list for every t in ``want_rows`` —
@@ -665,9 +719,7 @@ class ShardData:
         cand = d0
         rows = {k0: np.arange(d0.size, dtype=np.int64)}
         for k, arr in infos[1:]:
-            pos = np.searchsorted(arr, cand)
-            ok = pos < arr.size
-            ok[ok] = arr[pos[ok]] == cand[ok]
+            pos, ok = lookup_sorted(arr, cand)
             cand = cand[ok]
             for kk in rows:
                 rows[kk] = rows[kk][ok]
@@ -686,19 +738,11 @@ class ShardData:
         count_only: bool,
         dtype_name: str = "float32",
         facets=(),
-        with_ids: bool = True,
     ):
         """AND lookup + BM25 (+proximity in locs mode).  Returns
-        (hits: list[dict], num_docs) — hits unranked, driver/actor ranks —
-        plus a {col: {value: n}} dict over the FULL candidate set as a
-        third element when ``facets`` is non-empty.
-
-        ``with_ids=False`` defers doc-id STRING materialization to the
-        rank stage (HitBlock.doc_id = None): the default rank path needs
-        strings only for the top-k boundary set, so gathering an object
-        array for every candidate (common terms: most of the shard) is
-        wasted work.  Callers that consume hits directly keep the
-        default."""
+        (hits: HitBlock, num_docs) — hits unranked, :func:`rank_hits`
+        ranks — plus a {col: {value: n}} dict over the FULL candidate set
+        as a third element when ``facets`` is non-empty."""
         opts = self.opts
         dtype = np.float32 if dtype_name == "float32" else np.float64
         keywords = list(tokens) + list(labels)
@@ -706,22 +750,7 @@ class ShardData:
         if not keywords:
             return ret(HitBlock.empty(), 0)
         cand, trows = self._and_candidates_rows(keywords, tokens)
-        # the alive/allowlist filters shrink cand — mask the tracked
-        # posting rows in lockstep so the BM25 stage never re-probes
-        if self.tombstones.size and cand.size:
-            alive = ~np.isin(cand, self.tombstones)
-            cand = cand[alive]
-            trows = {k: v[alive] for k, v in trows.items()}
-        if allow_ids is not None and cand.size:
-            allowed = self.allowed_docs(allow_ids)
-            if allowed.size == 0:
-                cand = cand[:0]
-            else:
-                pos = np.searchsorted(allowed, cand)
-                ok = pos < allowed.size
-                ok[ok] = allowed[pos[ok]] == cand[ok]
-                cand = cand[ok]
-                trows = {k: v[ok] for k, v in trows.items()}
+        cand, trows = self._live(cand, trows, allow_ids)
         if cand.size == 0:
             return ret(HitBlock.empty(), 0)
         num_docs = int(cand.size)
@@ -729,36 +758,18 @@ class ShardData:
             return ret(HitBlock.empty(), num_docs, cand)
 
         n = cand.size
-        bm25 = np.zeros(n, dtype=dtype)
-        token_tfs = []
-        token_flats = []
+        token_flats, freqs = [], []
         demoted = np.zeros(n, dtype=bool)
-        if opts.index_type != DOCIDS_INDEX:
-            nrm = self.bm25_norms(avgdl, dtype)[np.searchsorted(self.dm_doc, cand)]
-            for t, idf in zip(tokens, idfs):
-                docs, tfs = self.postings(t)
-                rows = trows.get(t)
-                if rows is None:
-                    rows = np.searchsorted(docs, cand)
-                tf_t = tfs[rows]
-                if opts.index_type == LOCS_INDEX:
-                    vals, offs = self.positions_flat(t, rows)
-                    token_flats.append((vals, offs))
-                    freq = (offs[1:] - offs[:-1]).astype(np.float32)
-                    demoted |= freq == 0
-                else:
-                    freq = tf_t
-                token_tfs.append(freq)
-            # per-token f32 accumulation in token order (conformance)
-            for idf, freq in zip(idfs, token_tfs):
-                contrib = bm25_term_scores_prenorm(
-                    idf, freq, nrm, opts.bm25.k1, dtype
-                )
-                # riot skips tf==0 terms (label-injected) — contribution 0
-                contrib = np.where(freq > 0, contrib, dtype(0.0))
-                bm25 = bm25 + contrib
-
-        doc_ids = self.doc_ids_of(cand) if with_ids else None
+        if opts.index_type == LOCS_INDEX:
+            for t in tokens:
+                vals, offs = self.positions_flat(t, trows[t])
+                token_flats.append((vals, offs))
+                freqs.append((offs[1:] - offs[:-1]).astype(np.float32))
+                demoted |= freqs[-1] == 0
+        elif opts.index_type != DOCIDS_INDEX:
+            freqs = [self.postings(t)[1][trows[t]] for t in tokens]
+        bm25 = (np.zeros(n, dtype=dtype) if opts.index_type == DOCIDS_INDEX
+                else self._bm25(cand, freqs, idfs, avgdl, dtype))
         bm25 = np.where(demoted, 0.0, bm25)
         prox = None
         snippet = None
@@ -775,8 +786,7 @@ class ShardData:
                 snippet = [()] * n
                 tlocs = [()] * n
         return ret(
-            HitBlock(cand, doc_ids, np.asarray(bm25, np.float64), prox,
-                     snippet, tlocs),
+            HitBlock(cand, np.asarray(bm25, np.float64), prox, snippet, tlocs),
             num_docs, cand,
         )
 
@@ -832,46 +842,25 @@ class ShardData:
         ``facets`` the counts run over the final candidate set (the quirk's
         duplicates count twice, matching the duplicated hits)."""
         ret = lambda hits, num, cand=None: self._with_facets(facets, hits, num, cand)  # noqa: E731
-        if must:
-            lists = []
-            for k in must:
-                docs, _ = self.postings(k)
-                lists.append(docs)
-            if any(d.size == 0 for d in lists):
-                return ret(HitBlock.empty(), 0)
-            lists.sort(key=len)
-            cand = lists[0]
-            for arr in lists[1:]:
-                cand = np.intersect1d(cand, arr, assume_unique=True)
-            if should:
-                sh = self._union(should)
-                cand = cand[np.isin(cand, sh, assume_unique=True)]
+        if must or should:
+            if must:
+                cand, _ = self._and_candidates_rows(must, ())
+                if should:
+                    cand = cand[lookup_sorted(self._union(should), cand)[1]]
+            else:
+                cand = self._union(should)
             if not_in:
-                ni = self._union(not_in)
-                cand = cand[~np.isin(cand, ni, assume_unique=True)]
-        elif should:
-            cand = self._union(should)
-            if cand.size == 0:
-                return ret(HitBlock.empty(), 0)
-            if not_in:
-                ni = self._union(not_in)
-                cand = cand[~np.isin(cand, ni, assume_unique=True)]
+                cand = cand[~lookup_sorted(self._union(not_in), cand)[1]]
         elif not_in:
             # quirk: concatenation (dups preserved) of NotIn lists
-            parts = [self.postings(k)[0] for k in not_in]
-            cand = np.concatenate(parts) if parts else np.empty(0, np.uint64)
+            cand = np.concatenate([self.postings(k)[0] for k in not_in])
         else:
             return ret(HitBlock.empty(), 0)
-        cand = self._alive(cand)
-        if allow_ids is not None and cand.size:
-            cand = self._apply_allowlist(cand, allow_ids)
+        cand, _ = self._live(cand, {}, allow_ids)
         num = int(cand.size)
         if count_only:
             return ret(HitBlock.empty(), num, cand)
-        doc_ids = self.doc_ids_of(cand)
-        return ret(
-            HitBlock(cand, doc_ids, np.zeros(len(cand), np.float64)), num, cand
-        )
+        return ret(HitBlock(cand, np.zeros(len(cand), np.float64)), num, cand)
 
     def _union(self, keywords):
         arrs = [self.postings(k)[0] for k in keywords]
@@ -913,11 +902,7 @@ class ShardData:
         if dtype is np.float32:
             # ~6 f32 ops in the kernel, each <= 2^-24 relative error
             ub = ub * (1.0 + 1e-6) + 1e-30
-        out = (s, e, ub, _sparse_levels(ub))
-        if len(self._ub_cache) > 4096:
-            self._ub_cache.pop(next(iter(self._ub_cache)))
-        self._ub_cache[key] = out
-        return out
+        return _cache_put(self._ub_cache, 4096, key, (s, e, ub, _sparse_levels(ub)))
 
     def search_wand(self, tokens, idfs, avgdl, k, dtype_name="float32"):
         """Exact top-k for an AND query with block-max pruning (Ding & Suel,
@@ -938,12 +923,12 @@ class ShardData:
             bi = self.block_upper_bounds(t, idf, avgdl, dtype)
             if bi is None:
                 return HitBlock.empty(), 0
-            infos.append((t, idf, *bi))
-        # rarest term drives iteration; ``infos`` stays in TOKEN order so the
-        # final score accumulates per query token in token order (the f32
-        # conformance contract, SURVEY.md §7.5)
-        lead_i = min(range(len(infos)), key=lambda i: infos[i][3] - infos[i][2])
-        lead_t, lead_idf, ls, le, lead_ub, _lead_lev = infos[lead_i]
+            infos.append((t, *bi))
+        # rarest term drives iteration; the final score accumulates per
+        # query token in TOKEN order (the f32 conformance contract,
+        # SURVEY.md §7.5)
+        lead_i = min(range(len(infos)), key=lambda i: infos[i][2] - infos[i][1])
+        lead_t, ls, le, lead_ub, _lead_lev = infos[lead_i]
         others = [x for i, x in enumerate(infos) if i != lead_i]
 
         # -- vectorized bounds: one pass over ALL lead blocks ------------- #
@@ -951,7 +936,7 @@ class ShardData:
         hi = self.blk_max[ls:le]
         ub_tot = np.asarray(lead_ub, dtype=np.float64).copy()
         alive = np.ones(le - ls, bool)
-        for (_t, _idf, s, e, _oub, olev) in others:
+        for (_t, s, e, _oub, olev) in others:
             # overlapping block range of the other term per lead block
             a = np.searchsorted(self.blk_max[s:e], lo)
             b = np.searchsorted(self.blk_min[s:e], hi, side="right")
@@ -964,7 +949,7 @@ class ShardData:
         # the first bound strictly below it (all later bounds are <= it)
         visit = idx_alive[np.argsort(-ub_tot[idx_alive], kind="stable")]
 
-        # lead candidates come from the SAME LRU-cached full decode the
+        # lead candidates come from the SAME cached full decode the
         # exhaustive kernel uses; per-block row ranges via blk_n offsets
         lead_docs, lead_tfs = self.postings(lead_t)
         off = np.concatenate(([0], np.cumsum(self.blk_n[ls:le])))
@@ -994,136 +979,75 @@ class ShardData:
             take = visit[vpos:vpos + bsz]
             vpos += len(take)
             bsz = min(bsz * 4, 1024)
-            # vectorized multi-range gather of the batch's posting rows
-            lens = off[take + 1] - off[take]
-            starts = off[take]
-            shift = np.repeat(
-                starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-            rows = shift + np.arange(int(lens.sum()), dtype=np.int64)
+            rows, _ = gather_ranges(off, take)
             cand = lead_docs[rows]
             cand_tf = {lead_t: lead_tfs[rows]}
-            for (t, _idf, s, e, _oub, _olev) in others:
+            for (t, _s, _e, _oub, _olev) in others:
                 odocs, otfs = self.postings(t)
-                rows = np.searchsorted(odocs, cand)
-                rows = np.minimum(rows, len(odocs) - 1)
-                hit = odocs[rows] == cand
+                rows, hit = lookup_sorted(odocs, cand)
                 cand = cand[hit]
                 for key in cand_tf:
                     cand_tf[key] = cand_tf[key][hit]
                 cand_tf[t] = otfs[rows][hit]
                 if cand.size == 0:
                     break
+            cand, cand_tf = self._live(cand, cand_tf, None)
             if cand.size == 0:
                 continue
-            if self.tombstones.size:
-                alive = ~np.isin(cand, self.tombstones, assume_unique=True)
-                cand = cand[alive]
-                for key in cand_tf:
-                    cand_tf[key] = cand_tf[key][alive]
-            if cand.size == 0:
-                continue
-            nrm = self.bm25_norms(avgdl, dtype)[np.searchsorted(self.dm_doc, cand)]
-            score = np.zeros(len(cand), dtype=dtype)
-            for (t, idf, *_rest) in infos:
-                tf_t = cand_tf[t]
-                contrib = bm25_term_scores_prenorm(
-                    idf, tf_t, nrm, self.opts.bm25.k1, dtype
-                )
-                score = score + np.where(tf_t > 0, contrib, dtype(0.0))
+            score = self._bm25(cand, [cand_tf[t] for t in tokens], idfs, avgdl, dtype)
             n_scored += int(cand.size)
-            # vectorized top-k merge — doc-id STRINGS deferred to the tie
-            # boundary (rank_hits' select-kth pattern): O(n) partition by
-            # score keeps every candidate tied-or-above the k-th largest,
-            # and only that small set is string-gathered and two-key
-            # sorted (score desc, doc_id-string asc)
+            # merge into the running top-k (score desc, doc_id asc)
             all_s = np.concatenate([top_s, score.astype(np.float64)])
             all_d = np.concatenate([top_d, cand])
-            if len(all_s) > k:
-                kv = np.partition(all_s, len(all_s) - k)[len(all_s) - k]
-                sel = np.flatnonzero(all_s >= kv)
-                all_s, all_d = all_s[sel], all_d[sel]
-            ids = np.asarray(self.doc_ids_of(all_d), dtype=object)
-            o = np.argsort(ids, kind="stable")            # doc_id asc
-            o = o[np.argsort(-all_s[o], kind="stable")]   # score desc
-            o = o[:k]
+            o, _ = top_k(all_s, lambda i: self.doc_ids_of(all_d[i]), k)
             top_s, top_d = all_s[o], all_d[o]
             if len(top_s) >= k:
                 kth = top_s[-1]
         if not len(top_s):
             return HitBlock.empty(), 0
-        return HitBlock(top_d, np.asarray(self.doc_ids_of(top_d),
-                                          dtype=object), top_s), n_scored
+        return HitBlock(top_d, top_s), n_scored
 
 
 # --------------------------------------------------------------------------- #
 # ranking (per shard) and merge
 # --------------------------------------------------------------------------- #
-def rank_hits(hits: HitBlock, rank: RankOpts, shard: ShardData | None, keep: int):
+def rank_hits(hits: HitBlock, rank: RankOpts, shard: ShardData, keep: int,
+              orderless: bool = False):
     """Apply scoring criteria, sort by the documented total order, truncate
     to ``keep`` (= offset+max per shard — /root/reference/ranker_worker.go:62-66).
-    Returns (list[ScoredHit], num_scored)."""
+    The one place a shard's doc-id strings are resolved: for the top-k
+    boundary set on the default path, for every hit on the orderless and
+    custom-criteria / reverse-order paths.  Returns (list[ScoredHit],
+    num_scored)."""
     n = len(hits)
     if n == 0:
         return [], 0
+    if orderless:
+        # every hit, unranked (/root/reference/indexer_worker.go:75-113)
+        ids = shard.doc_ids_of(hits.doc).tolist()
+        return [hits.hit_at(i, d) for i, d in enumerate(ids)], n
     scorer = rank.scoring_criteria
-    lazy = hits.doc_id is None
+    hydrate = bool(shard.hydrate_cols)
     if scorer is None and not rank.reverse_order:
-        # vectorized default path: order by (bm25 desc, doc_id asc), then
-        # materialize ScoredHit only for the kept top slice.  When keep is
-        # small relative to n, an O(n) select-kth pass shrinks the sort to
-        # the boundary set first: every candidate with score >= the keep-th
-        # largest survives selection (ties included), so the subsequent
-        # exact two-key sort over that subset yields the identical top slice.
-        # Lazy blocks (with_ids=False) gather doc-id strings ONLY for the
-        # boundary set — never for the full candidate array.
-        if 0 < keep < n // 4 and n > 64:
-            kth = np.partition(hits.bm25, n - keep)[n - keep]
-            sel = np.flatnonzero(hits.bm25 >= kth)
-            ids_sel = (shard.doc_ids_of(hits.doc[sel]) if lazy
-                       else hits.doc_id[sel])
-            sub = np.argsort(ids_sel, kind="stable")
-            sub = sub[np.argsort(-hits.bm25[sel][sub], kind="stable")]
-            order = sel[sub][:keep]
-            ids_of = dict(zip(sel.tolist(), ids_sel.tolist())) if lazy else None
-        else:
-            if lazy:
-                hits.doc_id = shard.doc_ids_of(hits.doc)
-                lazy = False
-            order = np.argsort(hits.doc_id, kind="stable")
-            order = order[np.argsort(-hits.bm25[order], kind="stable")]
-            if keep > 0:
-                order = order[:keep]
-            ids_of = None
+        # vectorized default path: ScoredHit only for the kept top slice
+        order, ids = top_k(hits.bm25, lambda i: shard.doc_ids_of(hits.doc[i]), keep)
         out = []
-        hydrate = shard is not None and shard.hydrate_cols
-        for i in order:
-            i = int(i)
-            if lazy:
-                sh = ScoredHit(
-                    doc_id=ids_of[i], doc=int(hits.doc[i]),
-                    bm25=float(hits.bm25[i]),
-                    token_proximity=int(hits.proximity[i]) if hits.proximity is not None else -1,
-                    token_snippet_locs=hits.snippet[i] if hits.snippet is not None else (),
-                    token_locs=hits.token_locs[i] if hits.token_locs is not None else (),
-                )
-            else:
-                sh = hits.hit_at(i)
+        for i, doc_id in zip(order.tolist(), ids.tolist()):
+            sh = hits.hit_at(i, doc_id)
             sh.scores = (sh.bm25,)
             if hydrate:
                 # SearchDoc hydration (/root/reference/core/ranker.go:179-219)
-                sh.fields = shard.fields_of(int(hits.doc[i]))
+                sh.fields = shard.fields_of(sh.doc)
                 sh.content = sh.fields.pop(shard.opts.content_col, None)
             out.append(sh)
         return out, n
-    if lazy:  # defensive: non-default paths need full ids
-        hits.doc_id = shard.doc_ids_of(hits.doc)
     # custom criteria / reverse order: per-hit path (drop-on-empty honored,
     # /root/reference/core/ranker.go:132-137)
     scorer = scorer or default_scoring
     out = []
-    for i in range(n):
-        sh = hits.hit_at(i)
-        fields = shard.fields_of(int(hits.doc[i])) if shard is not None else None
+    for i, doc_id in enumerate(shard.doc_ids_of(hits.doc).tolist()):
+        sh = hits.hit_at(i, doc_id)
+        fields = shard.fields_of(sh.doc)
         scores = tuple(scorer(sh, fields))
         if len(scores) == 0:
             continue

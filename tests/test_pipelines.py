@@ -3456,6 +3456,30 @@ def test_kmeans_block_count_stable(ray_session):
     assert np.allclose(np.sort(C1, axis=0), np.sort(C2, axis=0), atol=1e-6)
 
 
+
+def test_kmeans_fit_reuses_one_task_function(ray_session, monkeypatch):
+    """Every Lloyd iteration maps the same module-level function, so a fit
+    registers one Ray task type however many iterations it runs."""
+    import numpy as np
+    import ray.data as rd
+
+    from riot_ray.pipelines import kmeans_fit
+
+    fns = []
+    raw = rd.Dataset.map_batches
+
+    def record(self, fn, *a, **kw):
+        fns.append(fn)
+        return raw(self, fn, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", record)
+    X = np.random.default_rng(5).standard_normal((120, 3))
+    t = pa.table({"embedding": pa.array(list(X.astype(np.float32)),
+                                        pa.list_(pa.float32()))})
+    _, iters, _ = kmeans_fit(rd.from_arrow(t), k=3, iters=3, seed=1, tol=-1.0)
+    assert iters == 3 and len(fns) == 3
+    assert all(f is fns[0] for f in fns)
+
 def test_dup_spans_prefilter_equals_exact(ray_session):
     """The winnowed-anchor candidate prefilter must be lossless, including
     the adversarial cases: overlapping SELF-duplicates (periodic text)
