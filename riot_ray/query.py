@@ -1023,7 +1023,7 @@ def rank_hits(hits: HitBlock, rank: RankOpts, shard: ShardData, keep: int,
     if n == 0:
         return [], 0
     if orderless:
-        # every hit, unranked (/root/reference/indexer_worker.go:75-113)
+        # every hit, unranked (reference indexer_worker.go:75-113)
         ids = shard.doc_ids_of(hits.doc).tolist()
         return [hits.hit_at(i, d) for i, d in enumerate(ids)], n
     scorer = rank.scoring_criteria
