@@ -7,16 +7,19 @@ Four serving tiers over the same ShardData kernels:
 * ``ActorSearcher`` — named actor pool (one ``ShardWorker`` actor owning a
   slice of shards, SURVEY.md §3.3 rebuild equivalent); the driver
   tokenizes, ships per-token idf, ``ray.wait``s with the request timeout and
-  merges per-shard top-k heaps.
+  merges the per-actor top-k lists.
 * ``ReplicatedSearcher`` — N actors each holding a full ``LocalSearcher``,
   round-robin, one RPC per query.
 * ``DistSearcher`` — N independent node indexes, riot's (ts desc, id desc)
   wire merge.
 
-The one per-shard executor is :class:`ShardSet`: ``LocalSearcher`` holds one
-over all shards and each ``ShardWorker`` one over its slice.  Planning,
-batch dedupe and the one gather of per-process outputs live in
-``_SearcherBase``; the replica tiers wrap ``LocalSearcher``.
+The shard is the unit of build, segment files and actor placement; a
+process serves the shards it hosts as ONE :class:`~riot_ray.query.ShardData`
+view (``LocalSearcher`` over all shards, each ``ShardWorker`` over its
+slice), and :func:`_run_view` runs a planned query on it as one kernel call
+plus one :func:`rank_hits`.  Planning, batch dedupe and the one gather of
+per-process outputs live in ``_SearcherBase``; the replica tiers wrap
+``LocalSearcher``.
 
 The driver holds term->df (global BM25 stats = riot NumShards=1 semantics);
 a keyword absent from the global dictionary short-circuits the AND search to
@@ -96,10 +99,10 @@ def _load_tombstones(index_dir: str) -> np.ndarray:
 class _SearcherBase:
     """Planning, batching and the one gather shared by every sharded
     searcher.  A subclass supplies where the shards live: ``_run(items,
-    timeout_ms)`` executes planned queries on every process hosting a
-    :class:`ShardSet` and returns ``(outputs per process, timed_out)``, and
-    ``_removed(tombstones)`` returns each process's per-shard removed-doc
-    stats."""
+    timeout_ms)`` executes planned queries (:func:`_run_view`) on every
+    process hosting a view and returns ``(outputs per process,
+    timed_out)``, and ``_removed(tombstones)`` returns each process's
+    per-shard removed-doc stats."""
 
     def __init__(self, index_dir: str, hydrate: bool = False, tokenizer_factory=None):
         self.index_dir = index_dir
@@ -327,13 +330,13 @@ class _SearcherBase:
                 for j, (plan, req, resp) in enumerate(todo)]
 
     def _gather(self, plan, req, resp, outs, timed_out) -> SearchResp:
-        """Combine one query's ``(hits per shard, num_scored, num_found,
+        """Combine one query's ``(ranked hits, num_scored, num_found,
         facets)`` outputs, one per process, into its response — the one
         merge for every tier (riot's collect, engine.go:557-630)."""
         rank, is_wand = plan[2], plan[5]
-        per_shard, num_scored, num_found, facets = [], 0, 0, None
-        for hits_lists, n_scored, n_found, fc in outs:
-            per_shard.extend(hits_lists)
+        per_view, num_scored, num_found, facets = [], 0, 0, None
+        for hits, n_scored, n_found, fc in outs:
+            per_view.append(hits)
             num_scored += n_scored
             num_found += n_found
             facets = merge_facets(facets, fc)
@@ -346,69 +349,39 @@ class _SearcherBase:
             return resp
         if req.orderless:
             # skip ranking entirely (reference indexer_worker.go:75-113)
-            resp.docs = [h for hits in per_shard for h in hits]
+            resp.docs = [h for hits in per_view for h in hits]
             resp.num_docs = len(resp.docs)
             return resp
-        resp.docs = merge_ranked(per_shard, rank)
+        resp.docs = merge_ranked(per_view, rank)
         # WAND: num_docs = docs actually SCORED (pruned blocks never counted)
         resp.num_docs = num_found if is_wand else num_scored
         return resp
 
 
-class ShardSet:
-    """The shards one process hosts, and the one per-shard executor every
-    searcher tier runs: ``LocalSearcher`` holds one over all shards, each
-    ``ShardWorker`` actor one over its slice.  Ids whose segment dir does
-    not exist yet (a shard that has received no postings) load as nothing."""
-
-    def __init__(self, index_dir: str, shard_ids, opts: EngineOpts, hydrate: bool,
-                 tombstones: np.ndarray):
-        seg = os.path.join(index_dir, "segments")
-        self.shards = [
-            ShardData(i, index_dir, opts, hydrate) for i in shard_ids
-            if os.path.isdir(os.path.join(seg, f"shard={i:05d}"))
-        ]
-        if tombstones.size:
-            for s in self.shards:
-                s.set_tombstones(tombstones)
-
-    def removed(self, tombstones: np.ndarray) -> list:
-        """(shard id, count, token length) of the tombstoned docs found in
-        each shard's docmeta."""
-        out = []
-        for s in self.shards:
-            mask = np.isin(s.dm_doc, tombstones, assume_unique=True)
-            out.append((s.shard_id, int(mask.sum()), float(s.dm_len[mask].sum())))
-        return out
-
-    def run(self, method, kwargs, rank, keep, count_only, orderless):
-        """One planned query over every hosted shard: (ranked hits per
-        shard, num_scored, num_found, merged facets)."""
-        per_shard, num_scored, num_found, facets = [], 0, 0, None
-        for s in self.shards:
-            out = getattr(s, method)(**kwargs)
-            if len(out) > 2:
-                facets = merge_facets(facets, out[2])
-            num_found += out[1]
-            if count_only:
-                continue
-            ranked, n_scored = rank_hits(out[0], rank, s, keep, orderless)
-            num_scored += n_scored
-            per_shard.append(ranked)
-        return per_shard, num_scored, num_found, facets
-
-    def run_many(self, items) -> list:
-        """items = [(method, kwargs, rank, keep, count_only, orderless)]."""
-        return [self.run(*item) for item in items]
+def _run_view(view: ShardData, items) -> list:
+    """Planned queries ``[(method, kwargs, rank, keep, count_only,
+    orderless)]`` on one process's view, each one kernel call plus one
+    :func:`rank_hits`: ``[(ranked hits, num_scored, num_found, facets)]``."""
+    out = []
+    for method, kwargs, rank, keep, count_only, orderless in items:
+        res = getattr(view, method)(**kwargs)
+        facets = res[2] if len(res) > 2 else None
+        ranked, n_scored = ([], 0) if count_only else rank_hits(
+            res[0], rank, view, keep, orderless)
+        out.append((ranked, n_scored, res[1], facets))
+    return out
 
 
 class LocalSearcher(_SearcherBase):
-    """In-process serving: one :class:`ShardSet` over every shard."""
+    """In-process serving: one view over every shard."""
 
     def __init__(self, index_dir: str, hydrate: bool = False, tokenizer_factory=None):
         super().__init__(index_dir, hydrate, tokenizer_factory)
-        self.shard_set = ShardSet(index_dir, self._shard_universe(), self.opts,
-                                  hydrate, self._tomb)
+        # drop the old view before loading the new one (reload): a process
+        # never holds two
+        self.view = None
+        self.view = ShardData(index_dir, self._shard_universe(), self.opts,
+                              hydrate, self._tomb)
         self._count_removed()
 
     def reload(self):
@@ -425,10 +398,10 @@ class LocalSearcher(_SearcherBase):
         self.__init__(self.index_dir, self.hydrate, self._tok_factory)
 
     def _run(self, items, timeout_ms):
-        return [self.shard_set.run_many(items)], False
+        return [_run_view(self.view, items)], False
 
     def _removed(self, tombstones):
-        return [self.shard_set.removed(tombstones)]
+        return [self.view.removed(tombstones)]
 
 
 def merge_facets(acc, fc):
@@ -827,8 +800,8 @@ def _make_shard_worker():
 
     @ray.remote
     class ShardWorker:
-        """A :class:`ShardSet` over a contiguous slice of shards, loaded
-        once in __init__ (actor-pool pattern, SURVEY.md §2.3 T2/T3)."""
+        """One view over a slice of shards, loaded once in __init__
+        (actor-pool pattern, SURVEY.md §2.3 T2/T3)."""
 
         def __init__(self, index_dir, shard_ids, hydrate):
             # EVERYTHING that can advance after construction is re-derived
@@ -843,8 +816,9 @@ def _make_shard_worker():
             # never resurrects; the reverse would silently undo removals).
             self._args = (index_dir, list(shard_ids), hydrate)
             opts = EngineOpts.from_json_dict(load_stats(index_dir)["opts"])
-            self.shard_set = ShardSet(index_dir, shard_ids, opts, hydrate,
-                                      _load_tombstones(index_dir))
+            self.view = None  # reload: drop the old view first
+            self.view = ShardData(index_dir, shard_ids, opts, hydrate,
+                                  _load_tombstones(index_dir))
 
         def reload(self):
             """Re-open this worker's FIXED shard slice (new generations /
@@ -857,10 +831,10 @@ def _make_shard_worker():
             return msg
 
         def run_many(self, items):
-            return self.shard_set.run_many(items)
+            return _run_view(self.view, items)
 
         def removed(self, tombstones):
-            return self.shard_set.removed(tombstones)
+            return self.view.removed(tombstones)
 
     return ShardWorker
 

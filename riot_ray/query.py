@@ -1,10 +1,15 @@
-"""Query serving: per-shard kernels + actor-pool engine.
+"""Query serving: the per-process query view and its kernels.
 
 Doc-sharded serving (riot's architecture — /root/reference/engine.go:785-799
 fans every query to all shards, per-shard top-(offset+k), global merge) with
 globally-consistent BM25 statistics (NumShards=1 semantics, SURVEY.md
 §2.9.1): the driver holds the global term->df dictionary and ships per-token
 float32 idf values with each query, so shards never need cross-shard stats.
+A process loads the shards it hosts as ONE :class:`ShardData` view (shards
+own ascending doc ranges, so each term's blocks in shard order form one
+doc-sorted list) and runs each query once per view; the top-(offset+k) cut
+and the merge then run per process instead of per shard, with the same
+results.
 
 BM25 replicates /root/reference/core/indexer.go:523-547 operation-for-
 operation in float32 (idf computed via log2 in float64 then cast, exactly
@@ -14,12 +19,12 @@ same kernel to f64 for DuckDB-oracle comparison.
 
 The four ``ShardData`` kernels (``search``, ``phrase_search``,
 ``logic_search``, ``search_wand``) and :func:`rank_hits` share one copy of
-each step of a shard query:
+each step of a query:
 
 * :func:`lookup_sorted` — the sorted membership probe (AND intersection,
   tombstones, allowlists, WAND's probe of the other terms);
 * ``ShardData._and_candidates_rows`` — the AND intersection (also the
-  Must set of a logic query);
+  Must set of a logic query), fetching each term's postings once;
 * ``ShardData._live`` — the tombstone + allowlist filter, shrinking the
   candidates and the per-candidate columns they carry in step;
 * ``ShardData._bm25`` — the BM25 accumulator;
@@ -39,6 +44,7 @@ import re
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .codecs import decode_varbyte
@@ -423,45 +429,90 @@ class HitBlock:
 # --------------------------------------------------------------------------- #
 # shard-resident data + lookup kernel
 # --------------------------------------------------------------------------- #
-class ShardData:
-    """One segment shard in memory: term dict + packed block columns +
-    docmeta + forward doc_id strings (and optional hydration columns).
-    Read-only after load — no locks (riot needs RWMutex striping,
-    /root/reference/core/indexer.go:36-52; we don't)."""
+_BLOCK_COLS = ["term", "n", "min_doc", "max_doc", "max_tf", "min_len", "docs_vb", "tfs_f32"]
+_POS_COLS = ["pos_cnt_i32", "pos_i32"]
 
-    def __init__(self, shard_id: int, index_dir: str, opts: EngineOpts, hydrate=False):
-        self.shard_id = shard_id
-        self.opts = opts
-        sdir = os.path.join(index_dir, "segments", f"shard={shard_id:05d}")
+
+def _bytes_column(col) -> tuple:
+    """(offsets int64[n+1], data uint8) of a binary column: row i's bytes
+    are ``data[offs[i]:offs[i+1]]``, so a run of rows is ONE contiguous
+    slice (no Python object per row)."""
+    arr = col.cast(pa.large_binary()).combine_chunks()
+    _validity, offs, data = arr.buffers()
+    offs = np.frombuffer(offs, np.int64)[arr.offset: arr.offset + len(arr) + 1]
+    return offs, np.frombuffer(data, np.uint8)
+
+
+class ShardData:
+    """The query view of the shards one process hosts: one term dict over
+    packed block columns, docmeta, forward doc_id strings (and optional
+    hydration / facet columns), all shards fused.  Read-only after load —
+    no locks (riot needs RWMutex striping,
+    /root/reference/core/indexer.go:36-52; we don't).
+
+    Shards own contiguous ascending doc-u64 ranges (``shard_of_part``) and
+    every varbyte block decodes on its own, so each term's blocks laid out
+    in shard order form one doc-sorted posting list: a query runs once per
+    view, not once per shard.  The shard stays the unit of build, files
+    and placement; ids without a segment dir yet (a shard that has
+    received no postings) load as nothing.  ``blk_shard`` and ``dm_off``
+    keep each block's and each docmeta row's shard, for WAND's per-shard
+    pruning and the per-shard removed-doc stats.  ``tombstones`` (doc
+    u64s) are filtered out of every answer."""
+
+    def __init__(self, index_dir: str, shard_ids, opts: EngineOpts, hydrate=False,
+                 tombstones=()):
         from .store import read_segment
 
-        blocks = read_segment(sdir, "blocks")
-        self.with_pos = "pos_i32" in blocks.column_names
-        terms = blocks["term"].to_pylist()
-        self.blk_n = blocks["n"].to_numpy(zero_copy_only=False).astype(np.int64)
-        self.blk_min = blocks["min_doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        self.blk_max = blocks["max_doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        self.blk_max_tf = blocks["max_tf"].to_numpy(zero_copy_only=False)
-        self.blk_min_len = blocks["min_len"].to_numpy(zero_copy_only=False)
-        self.docs_vb = blocks["docs_vb"].to_pylist()
-        self.tfs_bin = blocks["tfs_f32"].to_pylist()
+        self.opts = opts
+        seg = os.path.join(index_dir, "segments")
+        dirs = [(i, os.path.join(seg, f"shard={i:05d}")) for i in sorted(set(shard_ids))]
+        dirs = [(i, d) for i, d in dirs if os.path.isdir(d)]
+        self.shard_ids = [i for i, _ in dirs]
+        tables, dms = [], []
+        for _i, sdir in dirs:
+            tables.append(read_segment(sdir, "blocks"))
+            dms.append(read_segment(sdir, "docmeta", columns=["doc", "token_len"]))
+        self.with_pos = bool(tables) and _POS_COLS[-1] in tables[0].column_names
+        n_blocks = [t.num_rows for t in tables]
+        # each term's blocks contiguous, in shard order (a stable sort);
+        # reordered one column at a time, each shard's copy of a column
+        # released once it is reordered
+        order = pc.sort_indices(pa.chunked_array(
+            [t["term"].cast(pa.string()) for t in tables], pa.string()))
+        self.blk_shard = np.repeat(np.arange(len(dirs)), n_blocks)[order.to_numpy()]
+        col = {}
+        for c in _BLOCK_COLS + (_POS_COLS if self.with_pos else []):
+            whole = pa.chunked_array([ch for t in tables for ch in t[c].chunks],
+                                     tables[0].schema.field(c).type if tables
+                                     else pa.large_binary())
+            tables = [t.drop_columns([c]) for t in tables]
+            col[c] = whole.take(order)
+        self.blk_n = col["n"].to_numpy().astype(np.int64)
+        self.blk_min = col["min_doc"].to_numpy().astype(np.uint64)
+        self.blk_max = col["max_doc"].to_numpy().astype(np.uint64)
+        self.blk_max_tf = col["max_tf"].to_numpy()
+        self.blk_min_len = col["min_len"].to_numpy()
+        self.docs_vb = _bytes_column(col.pop("docs_vb"))
+        self.tfs_bin = _bytes_column(col.pop("tfs_f32"))
         if self.with_pos:
-            self.pos_cnt_bin = blocks["pos_cnt_i32"].to_pylist()
-            self.pos_bin = blocks["pos_i32"].to_pylist()
-        # blocks are term-sorted: term -> contiguous block range
-        self.term_range: dict[str, tuple] = {}
-        start = 0
-        for i in range(1, len(terms) + 1):
-            if i == len(terms) or terms[i] != terms[start]:
-                self.term_range[terms[start]] = (start, i)
-                start = i
-        dm = read_segment(sdir, "docmeta")
-        self.dm_doc = dm["doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        self.dm_len = dm["token_len"].to_numpy(zero_copy_only=False)
-        self.fw_doc = self.dm_doc  # forward load replaces with its own order
-        self.fw_doc_id = None
+            self.pos_cnt_bin = _bytes_column(col.pop("pos_cnt_i32"))
+            self.pos_bin = _bytes_column(col.pop("pos_i32"))
+        term = col["term"].cast(pa.string()).combine_chunks()
+        starts = np.flatnonzero(np.concatenate((
+            [True], pc.not_equal(term[1:], term[:-1]).to_numpy(zero_copy_only=False),
+        ))) if len(term) else np.empty(0, np.int64)
+        ends = np.append(starts[1:], len(term))
+        self.term_range: dict[str, tuple] = dict(
+            zip(term.take(starts).to_pylist(), zip(starts.tolist(), ends.tolist())))
+        self.dm_off = np.cumsum([0] + [d.num_rows for d in dms])
+        self.dm_doc = (np.concatenate([d["doc"].to_numpy() for d in dms]).astype(np.uint64)
+                       if dms else np.empty(0, np.uint64))
+        self.dm_len = (np.concatenate([d["token_len"].to_numpy() for d in dms])
+                       if dms else np.empty(0, np.float32))
+        self._check_disjoint()
         self.hydrate_cols: dict = {}
-        self.tombstones = np.empty(0, dtype=np.uint64)  # sorted u64
+        self.tombstones = np.sort(np.asarray(tombstones, dtype=np.uint64))
         self._cache: dict[str, tuple] = {}
         self._fw_files: list[str] = []
         self._facet_cache: dict[str, tuple] = {}
@@ -472,11 +523,24 @@ class ShardData:
         self._id_order = None
         self._load_forward(index_dir, opts, hydrate)
 
+    def _check_disjoint(self):
+        """Fusing is exact only if shard doc ranges ascend without overlap:
+        the concatenated docmeta must be strictly increasing."""
+        bad = np.flatnonzero(self.dm_doc[1:] <= self.dm_doc[:-1])
+        if bad.size:
+            a, b = (self.shard_ids[int(np.searchsorted(self.dm_off, j, side="right")) - 1]
+                    for j in (bad[0], bad[0] + 1))
+            raise ValueError(
+                f"shards {a} and {b} overlap: doc {int(self.dm_doc[bad[0] + 1])} "
+                f"follows doc {int(self.dm_doc[bad[0]])}; shard doc ranges must "
+                "ascend with the shard id (config.shard_of_part)")
+
     def _load_forward(self, index_dir, opts, hydrate):
         files = []
+        hosted = set(self.shard_ids)
         for f in sorted(glob.glob(os.path.join(index_dir, "forward", "part=*.parquet"))):
             part = int(re.search(r"part=(\d+)", f).group(1))
-            if shard_of_part(part, opts.num_parts, opts.num_shards) == self.shard_id:
+            if shard_of_part(part, opts.num_parts, opts.num_shards) in hosted:
                 files.append(f)
         self._fw_files = files
         extra = []
@@ -498,13 +562,25 @@ class ShardData:
             c: np.asarray(t[c].to_pylist(), dtype=object)[order] for c in extra
         }
 
-    def set_tombstones(self, docs: np.ndarray):
-        self.tombstones = np.sort(np.asarray(docs, dtype=np.uint64))
+    def removed(self, tombstones: np.ndarray) -> list:
+        """(shard id, count, token length) of the tombstoned docs found in
+        each hosted shard's docmeta."""
+        hit = lookup_sorted(np.sort(np.asarray(tombstones, np.uint64)), self.dm_doc)[1]
+        return [(sid, int(hit[a:b].sum()), float(self.dm_len[a:b][hit[a:b]].sum()))
+                for sid, a, b in zip(self.shard_ids, self.dm_off[:-1], self.dm_off[1:])]
 
     # -- decode ----------------------------------------------------------- #
+    def _block_bytes(self, col: tuple, s: int, e: int) -> np.ndarray:
+        """Blocks ``s:e`` of a binary block column as one uint8 slice."""
+        offs, data = col
+        return data[offs[s]:offs[e]]
+
     def postings(self, term: str):
         """(docs u64 asc, tfs f32) for a term, fully decoded (bounded FIFO
-        cache, :func:`_cache_put`)."""
+        cache, :func:`_cache_put`): one varbyte decode over all of the
+        term's blocks, then a running sum restarted at every block (each
+        block's first delta is its absolute first doc; the u64 sums wrap
+        and the subtraction unwraps them exactly)."""
         hit = self._cache.get(term)
         if hit is not None:
             return hit
@@ -513,15 +589,12 @@ class ShardData:
             out = (np.empty(0, np.uint64), np.empty(0, np.float32))
         else:
             s, e = rng
-            docs = np.concatenate(
-                [np.cumsum(decode_varbyte(self.docs_vb[i]), dtype=np.uint64) for i in range(s, e)]
-            )
-            tfs = (
-                np.frombuffer(b"".join(self.tfs_bin[s:e]), dtype="<f4")
-                if e > s
-                else np.empty(0, np.float32)
-            )
-            out = (docs, tfs)
+            n = self.blk_n[s:e]
+            run = np.cumsum(decode_varbyte(self._block_bytes(self.docs_vb, s, e)),
+                            dtype=np.uint64)
+            before = np.concatenate(([0], run[np.cumsum(n)[:-1] - 1])).astype(np.uint64)
+            docs = run - np.repeat(before, n)
+            out = (docs, self._block_bytes(self.tfs_bin, s, e).view("<f4"))
         return _cache_put(self._cache, 4096, term, out)
 
     def _positions_decoded(self, term: str):
@@ -537,12 +610,8 @@ class ShardData:
             out = (np.empty(0, np.int64), np.zeros(1, np.int64))
         else:
             s, e = rng
-            counts = np.frombuffer(
-                b"".join(self.pos_cnt_bin[s:e]), dtype="<i4"
-            ).astype(np.int64)
-            values = np.frombuffer(
-                b"".join(self.pos_bin[s:e]), dtype="<i4"
-            ).astype(np.int64)
+            counts = self._block_bytes(self.pos_cnt_bin, s, e).view("<i4").astype(np.int64)
+            values = self._block_bytes(self.pos_bin, s, e).view("<i4").astype(np.int64)
             offs = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=offs[1:])
             out = (values, offs)
@@ -587,7 +656,7 @@ class ShardData:
         return hit
 
     def allowed_docs(self, allow_ids) -> np.ndarray:
-        """Translate a string-docId allowlist into this shard's sorted
+        """Translate a string-docId allowlist into this view's sorted
         uint64 doc array: |A| searchsorted string probes against a cached
         string-sorted forward permutation — replaces the per-candidate
         Python set-membership loop (VERDICT r3 #4).  Ids unknown to the
@@ -608,16 +677,14 @@ class ShardData:
 
     # -- facets ------------------------------------------------------------ #
     def _facet_col(self, col: str):
-        """Lazy per-shard facet column: (int32 dictionary codes aligned to
-        ``fw_doc`` order, category strings).  Loaded ONCE per shard per
+        """Lazy facet column: (int32 dictionary codes aligned to
+        ``fw_doc`` order, category strings).  Loaded ONCE per view per
         column, value-coded — ~4 bytes/doc regardless of string length, so
         a node's shard slice stays facetable at billions of docs without
         holding the raw strings."""
         hit = self._facet_cache.get(col)
         if hit is not None:
             return hit
-        import pyarrow.compute as pc
-
         if not self._fw_files:
             out = (np.empty(0, np.int64), [])
             self._facet_cache[col] = out
@@ -702,19 +769,18 @@ class ShardData:
         the larger (O(s log L)) rather than a set intersection, which
         re-sorts the concatenation (O((s+L) log(s+L))) on every step.
 
-        Returns ``(cand, rows)`` where ``rows[t]`` holds each candidate's
-        row index in term t's posting list for every t in ``want_rows`` —
-        a BYPRODUCT of the intersection probes (each shrink step masks the
-        already-known positions), so the BM25 stage never re-probes its
-        terms (the profile's top cost after this change moved from
-        searchsorted to the scoring math itself)."""
-        infos = []
-        for k in keywords:
-            docs, _ = self.postings(k)
-            if docs.size == 0:
-                return np.empty(0, np.uint64), {}
-            infos.append((k, docs))
-        infos.sort(key=lambda x: len(x[1]))
+        Returns ``(cand, rows, lists)`` where ``rows[t]`` holds each
+        candidate's row index in term t's posting list for every t in
+        ``want_rows`` — a BYPRODUCT of the intersection probes (each shrink
+        step masks the already-known positions), so the BM25 stage never
+        re-probes its terms — and ``lists`` maps each keyword to its
+        ``(docs, tfs)``, fetched once here (callers take the tfs from it
+        instead of asking :meth:`postings` again)."""
+        lists = {k: self.postings(k) for k in dict.fromkeys(keywords)}
+        if any(docs.size == 0 for docs, _ in lists.values()):
+            return np.empty(0, np.uint64), {}, lists
+        infos = sorted(((k, docs) for k, (docs, _) in lists.items()),
+                       key=lambda x: len(x[1]))
         k0, d0 = infos[0]
         cand = d0
         rows = {k0: np.arange(d0.size, dtype=np.int64)}
@@ -725,8 +791,8 @@ class ShardData:
                 rows[kk] = rows[kk][ok]
             rows[k] = pos[ok]
             if cand.size == 0:
-                return cand, {}
-        return cand, {k: rows[k] for k in want_rows if k in rows}
+                return cand, {}, lists
+        return cand, {k: rows[k] for k in want_rows if k in rows}, lists
 
     def search(
         self,
@@ -749,7 +815,7 @@ class ShardData:
         ret = lambda hits, num, cand=None: self._with_facets(facets, hits, num, cand)  # noqa: E731
         if not keywords:
             return ret(HitBlock.empty(), 0)
-        cand, trows = self._and_candidates_rows(keywords, tokens)
+        cand, trows, lists = self._and_candidates_rows(keywords, tokens)
         cand, trows = self._live(cand, trows, allow_ids)
         if cand.size == 0:
             return ret(HitBlock.empty(), 0)
@@ -767,7 +833,7 @@ class ShardData:
                 freqs.append((offs[1:] - offs[:-1]).astype(np.float32))
                 demoted |= freqs[-1] == 0
         elif opts.index_type != DOCIDS_INDEX:
-            freqs = [self.postings(t)[1][trows[t]] for t in tokens]
+            freqs = [lists[t][1][trows[t]] for t in tokens]
         bm25 = (np.zeros(n, dtype=dtype) if opts.index_type == DOCIDS_INDEX
                 else self._bm25(cand, freqs, idfs, avgdl, dtype))
         bm25 = np.where(demoted, 0.0, bm25)
@@ -801,9 +867,6 @@ class ShardData:
         modes).  Byte positions alone cannot verify adjacency — the gap
         between two matched positions may contain another token — so the
         content column is the verifier, not the positions."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
         content_col = self.opts.content_col
         if content_col not in self.hydrate_cols:
             raise ValueError(
@@ -844,7 +907,7 @@ class ShardData:
         ret = lambda hits, num, cand=None: self._with_facets(facets, hits, num, cand)  # noqa: E731
         if must or should:
             if must:
-                cand, _ = self._and_candidates_rows(must, ())
+                cand = self._and_candidates_rows(must, ())[0]
                 if should:
                     cand = cand[lookup_sorted(self._union(should), cand)[1]]
             else:
@@ -913,10 +976,14 @@ class ShardData:
         UP FRONT in one vectorized pass (sparse-table range max), then
         blocks are visited BEST-FIRST (descending bound): the k-th score
         rises as fast as possible and the first bound below it terminates
-        the whole scan — no per-block Python bound loop, no per-candidate
-        heap.  Returns (hits: HitBlock of <=k docs, n_scored).  Skipped
-        blocks mean the total match count is NOT computed — callers use
-        approx counts."""
+        the scan — no per-block Python bound loop, no per-candidate heap.
+
+        Pruning runs per hosted shard (its own lead term, running top-k
+        and stop point), so which docs get scored — and the count
+        returned — does not depend on how shards are spread over
+        processes.  Returns (hits: HitBlock of <=k docs per shard,
+        n_scored).  Skipped blocks mean the total match count is NOT
+        computed — callers use approx counts."""
         dtype = np.float32 if dtype_name == "float32" else np.float64
         infos = []
         for t, idf in zip(tokens, idfs):
@@ -924,36 +991,70 @@ class ShardData:
             if bi is None:
                 return HitBlock.empty(), 0
             infos.append((t, *bi))
-        # rarest term drives iteration; the final score accumulates per
-        # query token in TOKEN order (the f32 conformance contract,
-        # SURVEY.md §7.5)
-        lead_i = min(range(len(infos)), key=lambda i: infos[i][2] - infos[i][1])
-        lead_t, ls, le, lead_ub, _lead_lev = infos[lead_i]
-        others = [x for i, x in enumerate(infos) if i != lead_i]
+        lists = {t: self.postings(t) for t in dict.fromkeys(tokens)}
+        # each term's blocks split by shard: cuts[i][x]:cuts[i][x+1] are
+        # term i's blocks in hosted shard x (relative to the term's range)
+        shards = np.arange(len(self.shard_ids) + 1)
+        cuts = [np.searchsorted(self.blk_shard[s:e], shards) for _t, s, e, _u, _l in infos]
+        bounds: dict = {}
+        tops, n_scored = [], 0
+        for x in range(len(self.shard_ids)):
+            counts = [int(c[x + 1] - c[x]) for c in cuts]
+            if min(counts) == 0:
+                continue  # a term absent from this shard: AND is empty
+            # rarest term (fewest blocks in this shard) drives iteration
+            lead_i = counts.index(min(counts))
+            if lead_i not in bounds:
+                bounds[lead_i] = self._wand_bounds(infos, lead_i)
+            ub_tot, alive = bounds[lead_i]
+            a, b = cuts[lead_i][x], cuts[lead_i][x + 1]
+            idx_alive = a + np.flatnonzero(alive[a:b])
+            # best-first: the k-th score rises fastest, and the scan STOPS
+            # at the first bound strictly below it (all later bounds are <= it)
+            visit = idx_alive[np.argsort(-ub_tot[idx_alive], kind="stable")]
+            top_s, top_d, n = self._wand_scan(infos, lead_i, visit, ub_tot, lists,
+                                              tokens, idfs, avgdl, k, dtype)
+            n_scored += n
+            if len(top_s):
+                tops.append((top_d, top_s))
+        if not tops:
+            return HitBlock.empty(), 0
+        return (HitBlock(np.concatenate([d for d, _ in tops]),
+                         np.concatenate([s for _, s in tops])), n_scored)
 
-        # -- vectorized bounds: one pass over ALL lead blocks ------------- #
+    def _wand_bounds(self, infos, lead_i):
+        """(score upper bound, alive) for every block of the lead term: its
+        own bound plus each other term's range-max over the blocks that
+        overlap its doc range (none overlapping: AND impossible there).
+        Shards own disjoint doc ranges, so only the lead block's own
+        shard's blocks can overlap."""
+        _t, ls, le, lead_ub, _lev = infos[lead_i]
         lo = self.blk_min[ls:le]
         hi = self.blk_max[ls:le]
         ub_tot = np.asarray(lead_ub, dtype=np.float64).copy()
         alive = np.ones(le - ls, bool)
-        for (_t, s, e, _oub, olev) in others:
-            # overlapping block range of the other term per lead block
+        for i, (_t, s, e, _oub, olev) in enumerate(infos):
+            if i == lead_i:
+                continue
             a = np.searchsorted(self.blk_max[s:e], lo)
             b = np.searchsorted(self.blk_min[s:e], hi, side="right")
-            ok = a < b  # no overlap: AND impossible in this doc range
+            ok = a < b
             alive &= ok
             if ok.any():
                 ub_tot[ok] += _range_max(olev, a[ok], b[ok])
-        idx_alive = np.flatnonzero(alive)
-        # best-first: the k-th score rises fastest, and the scan STOPS at
-        # the first bound strictly below it (all later bounds are <= it)
-        visit = idx_alive[np.argsort(-ub_tot[idx_alive], kind="stable")]
+        return ub_tot, alive
 
+    def _wand_scan(self, infos, lead_i, visit, ub_tot, lists, tokens, idfs,
+                   avgdl, k, dtype):
+        """Score the lead blocks ``visit`` (best-first) of one shard until
+        the next bound falls below the running k-th score: (top scores,
+        top docs, docs scored)."""
+        lead_t, ls, le = infos[lead_i][:3]
+        others = [x[0] for i, x in enumerate(infos) if i != lead_i]
         # lead candidates come from the SAME cached full decode the
         # exhaustive kernel uses; per-block row ranges via blk_n offsets
-        lead_docs, lead_tfs = self.postings(lead_t)
+        lead_docs, lead_tfs = lists[lead_t]
         off = np.concatenate(([0], np.cumsum(self.blk_n[ls:le])))
-
         # running top-k, kept sorted (score desc, doc_id-string asc) — the
         # exact path's total order at the k boundary
         top_s = np.empty(0, np.float64)
@@ -982,8 +1083,8 @@ class ShardData:
             rows, _ = gather_ranges(off, take)
             cand = lead_docs[rows]
             cand_tf = {lead_t: lead_tfs[rows]}
-            for (t, _s, _e, _oub, _olev) in others:
-                odocs, otfs = self.postings(t)
+            for t in others:
+                odocs, otfs = lists[t]
                 rows, hit = lookup_sorted(odocs, cand)
                 cand = cand[hit]
                 for key in cand_tf:
@@ -994,6 +1095,8 @@ class ShardData:
             cand, cand_tf = self._live(cand, cand_tf, None)
             if cand.size == 0:
                 continue
+            # the score accumulates per query token in TOKEN order (the f32
+            # conformance contract, SURVEY.md §7.5)
             score = self._bm25(cand, [cand_tf[t] for t in tokens], idfs, avgdl, dtype)
             n_scored += int(cand.size)
             # merge into the running top-k (score desc, doc_id asc)
@@ -1003,19 +1106,17 @@ class ShardData:
             top_s, top_d = all_s[o], all_d[o]
             if len(top_s) >= k:
                 kth = top_s[-1]
-        if not len(top_s):
-            return HitBlock.empty(), 0
-        return HitBlock(top_d, top_s), n_scored
+        return top_s, top_d, n_scored
 
 
 # --------------------------------------------------------------------------- #
-# ranking (per shard) and merge
+# ranking (per view) and merge
 # --------------------------------------------------------------------------- #
-def rank_hits(hits: HitBlock, rank: RankOpts, shard: ShardData, keep: int,
+def rank_hits(hits: HitBlock, rank: RankOpts, view: ShardData, keep: int,
               orderless: bool = False):
     """Apply scoring criteria, sort by the documented total order, truncate
-    to ``keep`` (= offset+max per shard — /root/reference/ranker_worker.go:62-66).
-    The one place a shard's doc-id strings are resolved: for the top-k
+    to ``keep`` (= offset+max per view — /root/reference/ranker_worker.go:62-66).
+    The one place a view's doc-id strings are resolved: for the top-k
     boundary set on the default path, for every hit on the orderless and
     custom-criteria / reverse-order paths.  Returns (list[ScoredHit],
     num_scored)."""
@@ -1024,37 +1125,37 @@ def rank_hits(hits: HitBlock, rank: RankOpts, shard: ShardData, keep: int,
         return [], 0
     if orderless:
         # every hit, unranked (reference indexer_worker.go:75-113)
-        ids = shard.doc_ids_of(hits.doc).tolist()
+        ids = view.doc_ids_of(hits.doc).tolist()
         return [hits.hit_at(i, d) for i, d in enumerate(ids)], n
     scorer = rank.scoring_criteria
-    hydrate = bool(shard.hydrate_cols)
+    hydrate = bool(view.hydrate_cols)
     if scorer is None and not rank.reverse_order:
         # vectorized default path: ScoredHit only for the kept top slice
-        order, ids = top_k(hits.bm25, lambda i: shard.doc_ids_of(hits.doc[i]), keep)
+        order, ids = top_k(hits.bm25, lambda i: view.doc_ids_of(hits.doc[i]), keep)
         out = []
         for i, doc_id in zip(order.tolist(), ids.tolist()):
             sh = hits.hit_at(i, doc_id)
             sh.scores = (sh.bm25,)
             if hydrate:
                 # SearchDoc hydration (/root/reference/core/ranker.go:179-219)
-                sh.fields = shard.fields_of(sh.doc)
-                sh.content = sh.fields.pop(shard.opts.content_col, None)
+                sh.fields = view.fields_of(sh.doc)
+                sh.content = sh.fields.pop(view.opts.content_col, None)
             out.append(sh)
         return out, n
     # custom criteria / reverse order: per-hit path (drop-on-empty honored,
     # /root/reference/core/ranker.go:132-137)
     scorer = scorer or default_scoring
     out = []
-    for i, doc_id in enumerate(shard.doc_ids_of(hits.doc).tolist()):
+    for i, doc_id in enumerate(view.doc_ids_of(hits.doc).tolist()):
         sh = hits.hit_at(i, doc_id)
-        fields = shard.fields_of(sh.doc)
+        fields = view.fields_of(sh.doc)
         scores = tuple(scorer(sh, fields))
         if len(scores) == 0:
             continue
         sh.scores = scores
         if fields:
             sh.fields = dict(fields)
-            sh.content = sh.fields.pop(shard.opts.content_col, None)
+            sh.content = sh.fields.pop(view.opts.content_col, None)
         out.append(sh)
     num = len(out)
     sort_hits(out, reverse=rank.reverse_order)
@@ -1063,8 +1164,8 @@ def rank_hits(hits: HitBlock, rank: RankOpts, shard: ShardData, keep: int,
     return out, num
 
 
-def merge_ranked(per_shard: list, rank: RankOpts):
-    allhits = [h for hits in per_shard for h in hits]
+def merge_ranked(per_view: list, rank: RankOpts):
+    allhits = [h for hits in per_view for h in hits]
     sort_hits(allhits, reverse=rank.reverse_order)
     # global slice — /root/reference/engine.go:527-538
     start = min(rank.output_offset, len(allhits))

@@ -6,8 +6,9 @@ core/indexer.go:258-366; re-add replaces via the docsState machine,
 core/indexer.go:135-159).  The batch-engine analog:
 
 * ``remove_docs`` — append doc u64s to ``tombstones/*.parquet``.  Serving
-  applies them as an anti-filter (ShardData.set_tombstones) and subtracts
-  the removed docs' lengths from the global BM25 stats; no segment rewrite.
+  applies them as an anti-filter (``ShardData(..., tombstones)``) and
+  subtracts the removed docs' lengths from the global BM25 stats; no
+  segment rewrite.
 * ``compact`` — rewrite only the forward parts / segment shards that
   contain tombstoned docs (per-partition rewrite, never the whole index),
   re-deriving postings from the forward table through the same tokenize +

@@ -20,7 +20,8 @@ def searcher(corpus_index):
 
 
 def decode_all_postings(index_dir):
-    """term -> {doc: tf} over all shards, via the ShardData decode path."""
+    """term -> {doc: tf} over all shards, via the decode path of one
+    ShardData view over every shard."""
     out = {}
     from riot_ray.build import load_stats
     from riot_ray.config import EngineOpts
@@ -28,15 +29,18 @@ def decode_all_postings(index_dir):
 
     stats = load_stats(index_dir)
     opts = EngineOpts.from_json_dict(stats["opts"])
-    for sd in sorted(glob.glob(os.path.join(index_dir, "segments", "shard=*"))):
-        sid = int(sd.split("=")[1])
-        s = ShardData(sid, index_dir, opts)
-        for term in s.term_range:
-            docs, tfs = s.postings(term)
-            m = out.setdefault(term, {})
-            for d, f in zip(docs.tolist(), tfs.tolist()):
-                assert d not in m, f"dup doc {d} for term {term}"
-                m[d] = f
+    sids = [int(sd.split("=")[1])
+            for sd in glob.glob(os.path.join(index_dir, "segments", "shard=*"))]
+    s = ShardData(index_dir, sids, opts)
+    assert s.shard_ids == sorted(sids)
+    for term in s.term_range:
+        docs, tfs = s.postings(term)
+        # the fused list is doc-sorted across shard boundaries
+        assert (docs[1:] > docs[:-1]).all(), f"fused docs not increasing for {term}"
+        m = out.setdefault(term, {})
+        for d, f in zip(docs.tolist(), tfs.tolist()):
+            assert d not in m, f"dup doc {d} for term {term}"
+            m[d] = f
     return out
 
 
