@@ -69,6 +69,18 @@ def delta_decode(deltas: np.ndarray) -> np.ndarray:
     return np.cumsum(np.asarray(deltas, dtype=np.uint64), dtype=np.uint64)
 
 
+def delta_decode_blocks(deltas: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """:func:`delta_decode` of consecutive blocks of ``n[i]`` deltas each
+    (every block's first delta absolute), in one running sum: each value is
+    its running sum minus the sum before its block.  Both sums stay uint64,
+    so the result is exact also where the running sum wraps past 2**64."""
+    d = np.asarray(deltas, dtype=np.uint64)
+    run = np.zeros(d.size + 1, dtype=np.uint64)
+    np.cumsum(d, dtype=np.uint64, out=run[1:])
+    n = np.asarray(n, dtype=np.int64)
+    return run[1:] - np.repeat(run[np.cumsum(n) - n], n)
+
+
 def encode_f32(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype="<f4").tobytes()
 

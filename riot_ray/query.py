@@ -47,7 +47,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .codecs import decode_varbyte
+from .codecs import decode_varbyte, delta_decode_blocks
 from .config import DOCIDS_INDEX, LOCS_INDEX, EngineOpts, shard_of_part
 from .types import Logic, RankOpts, ScoredHit, SearchReq, SearchResp, sort_hits
 
@@ -577,10 +577,8 @@ class ShardData:
 
     def postings(self, term: str):
         """(docs u64 asc, tfs f32) for a term, fully decoded (bounded FIFO
-        cache, :func:`_cache_put`): one varbyte decode over all of the
-        term's blocks, then a running sum restarted at every block (each
-        block's first delta is its absolute first doc; the u64 sums wrap
-        and the subtraction unwraps them exactly)."""
+        cache, :func:`_cache_put`): one varbyte decode and one
+        :func:`delta_decode_blocks` over all of the term's blocks."""
         hit = self._cache.get(term)
         if hit is not None:
             return hit
@@ -589,11 +587,8 @@ class ShardData:
             out = (np.empty(0, np.uint64), np.empty(0, np.float32))
         else:
             s, e = rng
-            n = self.blk_n[s:e]
-            run = np.cumsum(decode_varbyte(self._block_bytes(self.docs_vb, s, e)),
-                            dtype=np.uint64)
-            before = np.concatenate(([0], run[np.cumsum(n)[:-1] - 1])).astype(np.uint64)
-            docs = run - np.repeat(before, n)
+            docs = delta_decode_blocks(
+                decode_varbyte(self._block_bytes(self.docs_vb, s, e)), self.blk_n[s:e])
             out = (docs, self._block_bytes(self.tfs_bin, s, e).view("<f4"))
         return _cache_put(self._cache, 4096, term, out)
 
@@ -775,10 +770,13 @@ class ShardData:
         step masks the already-known positions), so the BM25 stage never
         re-probes its terms — and ``lists`` maps each keyword to its
         ``(docs, tfs)``, fetched once here (callers take the tfs from it
-        instead of asking :meth:`postings` again)."""
-        lists = {k: self.postings(k) for k in dict.fromkeys(keywords)}
-        if any(docs.size == 0 for docs, _ in lists.values()):
-            return np.empty(0, np.uint64), {}, lists
+        instead of asking :meth:`postings` again).  The fetch stops at the
+        first keyword with no postings in this view."""
+        lists = {}
+        for k in dict.fromkeys(keywords):
+            lists[k] = self.postings(k)
+            if lists[k][0].size == 0:  # no later list is fetched
+                return np.empty(0, np.uint64), {}, lists
         infos = sorted(((k, docs) for k, (docs, _) in lists.items()),
                        key=lambda x: len(x[1]))
         k0, d0 = infos[0]

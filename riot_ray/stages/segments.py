@@ -112,19 +112,15 @@ class BuildShard:
                 term_col = term_col.combine_chunks()
             import pyarrow.compute as pc
 
-            from ..codecs import decode_varbyte
+            from ..codecs import decode_varbyte, delta_decode_blocks
 
             vb_buf, _ = _binary_values(group["docs_vb"])
             tf_buf, tf_offs = _binary_values(group["tfs_f32"])
             tf = np.frombuffer(tf_buf, dtype="<f4")
             counts = ((tf_offs[1:] - tf_offs[:-1]) // 4).astype(np.int64)
             row_parent = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-            deltas = decode_varbyte(vb_buf)
             # un-delta with a reset at every row start
-            cum = np.cumsum(deltas, dtype=np.uint64)
-            row_starts = np.r_[0, np.cumsum(counts)[:-1]].astype(np.int64)
-            base = (cum - deltas)[row_starts] if len(deltas) else np.empty(0, np.uint64)
-            doc = cum - np.repeat(base, counts)
+            doc = delta_decode_blocks(decode_varbyte(vb_buf), counts)
             is_meta_row = pc.equal(term_col, META_TERM).to_numpy(zero_copy_only=False)
             meta_mask = np.asarray(is_meta_row, dtype=bool)[row_parent]
             # docmeta: dedup on doc (a doc appears in exactly one batch)

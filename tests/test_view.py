@@ -156,6 +156,12 @@ def test_and_fetches_each_term_once(freqs_index, monkeypatch):
     assert resp.num_docs > 0
     assert sorted(calls) == [("load", False), ("parse", False)]
 
+    # a keyword with no postings ends the fetch: the later list is not decoded
+    calls.clear()
+    cand, rows, lists = s.view._and_candidates_rows(["nosuchterm", "parse"], ())
+    assert cand.size == 0 and rows == {}
+    assert calls == [("nosuchterm", False)] and list(lists) == ["nosuchterm"]
+
 
 def test_overlapping_shards_fail_loudly(freqs_index, tmp_path):
     idx = str(tmp_path / "index")
