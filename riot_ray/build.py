@@ -7,9 +7,12 @@
     read_parquet(forward)
       -> map_batches(TokenizeStage)                          # M1-M11
       -> groupby(shard).map_groups(BuildShard)               # A1/A2 shuffle
-         (writes segments/shard=K/{blocks,terms,docmeta}.parquet + manifest)
-    read segments/*/terms.parquet -> groupby(term).sum       # global df (A2)
+         (writes segments/shard=K/{blocks,docmeta}.parquet + manifest)
+    read segments/*/blocks.{term,n} -> groupby(term).sum     # global df (A2)
     stats.json from shard manifests                          # A3 (global N, avgdl)
+
+The last two steps are ``IndexWriter.write_stats``, which ``add_docs`` and
+``compact`` (riot_ray.updates) call as well.
 
 Resume: each segment shard carries a manifest with a build fingerprint;
 re-running build() skips shards whose manifest matches (per-partition
@@ -124,36 +127,43 @@ class IndexWriter:
         postings = self.apply_tokenize(assigned)
         seg_manifest = self.build_segments(postings, fp)
         self._remove_stale_outputs(fp)
-        n_docs_forward = forward_doc_count(self.forward_dir)
-
-        # ---- global term stats (df) -------------------------------------
-        self._build_termstats()
-
-        # ---- global stats ------------------------------------------------
-        if len(seg_manifest) == 0 or "n_docs" not in seg_manifest.columns:
-            # empty source: no shard groups at all
-            import pandas as pd
-
-            seg_manifest = pd.DataFrame(
-                columns=["n_docs", "total_token_len", "n_postings",
-                         "n_terms", "n_blocks", "skipped"]
-            )
-        stats = {
-            "n_docs": int(seg_manifest["n_docs"].sum()),
-            "total_token_len": float(seg_manifest["total_token_len"].sum()),
-            "n_postings": int(seg_manifest["n_postings"].sum()),
-            "n_terms_with_dups_across_shards": int(seg_manifest["n_terms"].sum()),
-            "n_blocks": int(seg_manifest["n_blocks"].sum()),
-            "n_docs_forward": n_docs_forward,
-            "shards_skipped": int(seg_manifest["skipped"].sum()),
+        # an empty source has no shard groups: the frame has no columns
+        skipped = seg_manifest["skipped"] if "skipped" in seg_manifest else []
+        return self.write_stats(fp, {
+            "shards_skipped": int(sum(skipped)),
             "num_shards": opts.num_shards,
             "num_parts": opts.num_parts,
-            "fingerprint": fp,
             "custom_tokenizer": self.tokenizer_factory is not None,
-            "build_wall_s": round(time.time() - t0, 3),
             "opts": json.loads(opts.to_json()),
             "generations": [0],
-        }
+        }, started=t0)
+
+    def write_stats(self, fp: str, fields: dict, started: float | None = None) -> dict:
+        """Write the index-wide tables from the shard files on disk: the
+        global df (``_build_termstats``) and ``stats.json``, which is
+        ``fields`` plus the summed shard manifests, the forward doc count and
+        ``fp``.  ``started`` (a ``time.time()``) also sets ``build_wall_s``.
+        Returns the stats written."""
+        self._build_termstats()
+        mans = []
+        for path in sorted(glob.glob(os.path.join(self.segments_dir, "shard=*", "manifest.json"))):
+            with open(path) as f:
+                mans.append(json.load(f))
+        total = lambda k: sum(m[k] for m in mans)  # noqa: E731
+        stats = dict(fields)
+        stats.update(
+            n_docs=total("n_docs"),
+            # NumPy's pairwise float64 sum in shard order, for every caller
+            total_token_len=float(np.sum([m["total_token_len"] for m in mans],
+                                         dtype=np.float64)),
+            n_postings=total("n_postings"),
+            n_terms_with_dups_across_shards=total("n_terms"),
+            n_blocks=total("n_blocks"),
+            n_docs_forward=forward_doc_count(self.forward_dir),
+            fingerprint=fp,
+        )
+        if started is not None:
+            stats["build_wall_s"] = round(time.time() - started, 3)
         with open(os.path.join(self.index_dir, STATS_FILE), "w") as f:
             json.dump(stats, f, indent=1)
         return stats
@@ -291,10 +301,11 @@ class IndexWriter:
                 cols = None
         return rd.read_parquet(source, override_num_blocks=nblocks, columns=cols)
 
-    # per-shard terms.parquet are already term-aggregated; the global df is a
-    # small second-level reduce.  Below ~5M rows a driver-side pyarrow groupby
-    # beats a distributed shuffle by seconds of fixed cost; above it we fall
-    # back to the Ray groupby (the true multi-node path).
+    # a term's global df is the sum of ``n`` over its block rows in every
+    # shard (a shard holds most terms in one block).  Below ~5M block rows a
+    # driver-side pyarrow groupby over the (term, n) columns beats a
+    # distributed shuffle by seconds of fixed cost; above it we fall back to
+    # the Ray groupby (the true multi-node path).
     DRIVER_DF_ROWS = 5_000_000
 
     def _build_termstats(self):
@@ -302,21 +313,21 @@ class IndexWriter:
 
         from .store import count_any, glob_segments, read_any, segments_dataset
 
-        terms_files = glob_segments(
-            os.path.join(self.segments_dir, "shard=*"), "terms"
+        blocks_files = glob_segments(
+            os.path.join(self.segments_dir, "shard=*"), "blocks"
         )
         # engine-provided metadata counts (parquet footer / IPC batch
         # metadata); a custom engine without a count_rows hook yields None
         # and is routed down the distributed path — the DRIVER_DF_ROWS
         # gate exists to prevent driver OOM, so "unknown" must not default
         # to the driver side
-        counts = [count_any(f) for f in terms_files]
+        counts = [count_any(f) for f in blocks_files]
         total_rows = (None if any(c is None for c in counts)
                       else sum(counts))
         tmp_ts = self.termstats_dir + ".tmp"
         if os.path.exists(tmp_ts):
             shutil.rmtree(tmp_ts)
-        if not terms_files:
+        if not blocks_files:
             # empty index: an empty df table keeps every loader simple
             os.makedirs(tmp_ts, exist_ok=True)
             pq.write_table(
@@ -325,11 +336,11 @@ class IndexWriter:
                 os.path.join(tmp_ts, "df.parquet"),
             )
         elif total_rows is not None and total_rows <= self.DRIVER_DF_ROWS:
-            t = pa.concat_tables(read_any(f) for f in terms_files)
-            agg = t.group_by("term").aggregate([("df_local", "sum")])
+            t = pa.concat_tables(read_any(f, columns=["term", "n"]) for f in blocks_files)
+            agg = t.group_by("term").aggregate([("n", "sum")])
             # select by NAME: pyarrow's aggregate column order has changed
             # across major versions — a positional rename silently swaps
-            out = pa.table({"term": agg["term"], "df": agg["df_local_sum"]}).sort_by(
+            out = pa.table({"term": agg["term"], "df": agg["n_sum"]}).sort_by(
                 "term"
             )  # term-sorted on disk: TermStats then loads without a re-sort
             os.makedirs(tmp_ts, exist_ok=True)
@@ -341,9 +352,9 @@ class IndexWriter:
             # and other engines one file per task — the true distributed
             # path for any store engine
             df_ds = (
-                segments_dataset(terms_files, columns=["term", "df_local"])
+                segments_dataset(blocks_files, columns=["term", "n"])
                 .groupby("term")
-                .aggregate(Sum("df_local", alias_name="df"))
+                .aggregate(Sum("n", alias_name="df"))
             )
             df_ds.write_parquet(tmp_ts)
         if os.path.exists(self.termstats_dir):

@@ -101,7 +101,7 @@ class EngineOpts:
     # shard builds (they are memory-bandwidth heavy sorts) and reserves
     # heap headroom per task — measured ~15% faster at 2 on a 16-cpu node
     shard_build_num_cpus: float = 1.0
-    # segment-storage engine for the per-shard blocks/terms/docmeta trio
+    # segment-storage engine for the per-shard blocks/docmeta files
     # (riot's pluggable store registry, /root/reference/store/store.go:29-72;
     # see riot_ray/store.py — "parquet" default, "feather" built-in, custom
     # engines via register_store; RIOT_RAY_STORE_ENGINE env overrides)

@@ -14,8 +14,12 @@ no Python loop over terms or blocks):
 
     sort by (term, doc) -> block boundaries every `block_size` docs or term
     change -> delta+varbyte docs / raw-f32 tfs / raw-i32 positions ->
-    blocks.parquet + terms.parquet (df_local) + docmeta.parquet (doc lens,
-    from is_head rows) + manifest.json (lineage + metrics, resume key).
+    blocks.parquet + docmeta.parquet (doc lens, from is_head rows) +
+    manifest.json (lineage + metrics, resume key).
+
+Each term string is stored once per shard, in ``blocks.term``: a term's
+shard-local df is the sum of ``blocks.n`` over its rows, which is all the
+global df reduce (``IndexWriter._build_termstats``) reads.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import uuid
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..codecs import encode_varbyte
 from ..config import META_TERM, EngineOpts
@@ -36,7 +39,6 @@ from ..config import META_TERM, EngineOpts
 # names from the configured store engine (riot_ray/store.py) and readers
 # autodetect by extension
 BLOCKS_FILE = "blocks.parquet"
-TERMS_FILE = "terms.parquet"
 DOCMETA_FILE = "docmeta.parquet"
 MANIFEST_FILE = "manifest.json"
 
@@ -258,22 +260,12 @@ class BuildShard:
 
         blocks = pa.table(cols)
 
-        # term-level df (local) — global df = groupby(term).sum over shards
-        df_local = np.diff(np.r_[term_starts, n]).astype(np.int64)
-        terms_tbl = pa.table(
-            {
-                "term": pa.array(sorted_vocab[rank_s[term_starts]], pa.string()),
-                "df_local": pa.array(df_local, pa.int64()),
-            }
-        )
-
         tmp = sdir + f".tmp-{uuid.uuid4().hex}"
         os.makedirs(tmp, exist_ok=True)
         # pluggable segment engine (riot's RegisterStore analog —
         # riot_ray/store.py; readers autodetect by extension)
         eng = self._store
         eng.write_table(blocks, os.path.join(tmp, "blocks" + eng.extension))
-        eng.write_table(terms_tbl, os.path.join(tmp, "terms" + eng.extension))
         eng.write_table(docmeta, os.path.join(tmp, "docmeta" + eng.extension))
         manifest = {
             "shard": shard,

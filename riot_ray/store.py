@@ -3,8 +3,8 @@
 The rebuild of riot's ``RegisterStore`` extension surface
 (/root/reference/store/store.go:29-72): a process-wide registry mapping
 an engine NAME to the pair of table write/read functions (plus a file
-extension) used for the per-shard segment trio (blocks / terms /
-docmeta).  Built-ins:
+extension) used for the per-shard segment files (blocks / docmeta).
+Built-ins:
 
 * ``"parquet"`` (default) — columnar, compressed, the durable format the
   rest of the repo standardizes on.
@@ -18,7 +18,7 @@ autodetect by extension — an index written with any registered engine
 opens with zero configuration, and mixed-engine indexes (e.g. after a
 compaction under a different setting) read correctly shard by shard.
 
-Scope: the segment trio only.  The forward table and every pipeline
+Scope: the segment files only.  The forward table and every pipeline
 input/output stay Parquet — they are ``ray.data`` Datasets, where
 Parquet's pruned reads (columns=, row groups) are load-bearing.
 

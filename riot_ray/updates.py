@@ -47,8 +47,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from .build import (STATS_FILE, IndexWriter, forward_doc_count, load_stats,
-                    map_groups_local)
+from .build import IndexWriter, load_stats, map_groups_local
 from .config import PART_SHIFT, EngineOpts, shard_of_part
 from .stages.prepare import keep_columns, make_prepare_fn, write_forward_part
 from .stages.segments import shard_dir
@@ -213,7 +212,7 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
             shutil.rmtree(sdir)
 
     # 3) refresh global termstats + stats from all shard outputs
-    _refresh_stats(index_dir, w, stats, fp)
+    w.write_stats(fp, dict(stats, generations=stats.get("generations", [0]) + [fp]))
 
     # 4) clear tombstones
     for f in glob.glob(os.path.join(_tomb_dir(index_dir), "*.parquet")):
@@ -351,7 +350,7 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
     fp = f"add-{uuid.uuid4().hex[:12]}"
     files = _shard_files(index_dir, opts, touched_shards)
     w.build_segments(w.apply_tokenize(_read_forward(files, opts, local)), fp)
-    _refresh_stats(index_dir, w, stats, fp)
+    w.write_stats(fp, dict(stats, generations=stats.get("generations", [0]) + [fp]))
     # retired docs are physically absent from the rebuilt shards; the
     # tombstones written above (which hid them while their old postings
     # could still be served) would now double-subtract -> drop them again
@@ -434,30 +433,3 @@ class _MergePart:
                 "retired_docs": pa.array([retired.tolist()], pa.list_(pa.uint64())),
             }
         )
-
-
-def _refresh_stats(index_dir: str, w: IndexWriter, old_stats: dict, fp: str):
-    """Recompute the global df table and the corpus stats from the current
-    shard manifests and forward Parquet footers."""
-    w._build_termstats()
-
-    keys = ("n_docs", "total_token_len", "n_postings", "n_terms", "n_blocks")
-    tot = dict.fromkeys(keys, 0)
-    for man in sorted(glob.glob(os.path.join(w.segments_dir, "shard=*", "manifest.json"))):
-        with open(man) as f:
-            m = json.load(f)
-        for k in keys:
-            tot[k] += m[k]
-    stats = dict(old_stats)
-    stats.update(
-        n_docs=tot["n_docs"],
-        total_token_len=float(tot["total_token_len"]),
-        n_postings=tot["n_postings"],
-        n_terms_with_dups_across_shards=tot["n_terms"],
-        n_blocks=tot["n_blocks"],
-        n_docs_forward=forward_doc_count(w.forward_dir),
-        fingerprint=fp,
-        generations=old_stats.get("generations", [0]) + [fp],
-    )
-    with open(os.path.join(index_dir, STATS_FILE), "w") as f:
-        json.dump(stats, f, indent=1)

@@ -280,8 +280,6 @@ def test_store_engine_feather_matches_parquet(ray_session, tmp_path):
     /root/reference/store/store.go:29-72): an index built with the feather
     engine returns bit-identical search results, and the export views read
     it through extension autodetect."""
-    import os
-
     from riot_ray.build import IndexWriter
     from riot_ray.config import EngineOpts
     from riot_ray.corpus import write_corpus
@@ -296,8 +294,8 @@ def test_store_engine_feather_matches_parquet(ray_session, tmp_path):
     IndexWriter(str(tmp_path / "ip"), base).build(src)
     IndexWriter(str(tmp_path / "if"),
                 replace(base, store_engine="feather")).build(src)
-    assert os.path.exists(
-        str(tmp_path / "if" / "segments" / "shard=00000" / "blocks.feather"))
+    for ix, ext in (("ip", "parquet"), ("if", "feather")):
+        assert_segment_files(tmp_path / ix, ext)
     req = SearchReq(text="parse json", rank_opts=RankOpts(max_outputs=10))
     rp = LocalSearcher(str(tmp_path / "ip")).search(req)
     rf = LocalSearcher(str(tmp_path / "if")).search(req)
@@ -307,6 +305,16 @@ def test_store_engine_feather_matches_parquet(ray_session, tmp_path):
     tp = termstats_dataset(str(tmp_path / "ip")).to_pandas().sort_values("term")
     tf = termstats_dataset(str(tmp_path / "if")).to_pandas().sort_values("term")
     assert tp.reset_index(drop=True).equals(tf.reset_index(drop=True))
+
+
+def assert_segment_files(index_dir, ext):
+    """Each shard dir holds exactly its blocks and docmeta tables, in the
+    engine's extension, and the manifest."""
+    shards = sorted((index_dir / "segments").glob("shard=*"))
+    assert shards
+    for sdir in shards:
+        assert sorted(p.name for p in sdir.iterdir()) == \
+            [f"blocks.{ext}", f"docmeta.{ext}", "manifest.json"], sdir
 
 
 def test_termstats_distributed_path_any_engine(ray_session, tmp_path,
@@ -334,6 +342,18 @@ def test_termstats_distributed_path_any_engine(ray_session, tmp_path,
     b = (termstats_dataset(str(tmp_path / "dst")).to_pandas()
          .sort_values("term").reset_index(drop=True))
     assert len(a) > 0 and a.equals(b)
+    # both equal a plain per-term sum of the block rows' n in the shards
+    from collections import Counter
+
+    from riot_ray.store import glob_segments, read_any
+
+    df = Counter()
+    for f in glob_segments(str(tmp_path / "drv" / "segments" / "shard=*"), "blocks"):
+        blk = read_any(f, columns=["term", "n"]).to_pydict()
+        for term, n in zip(blk["term"], blk["n"]):
+            df[term] += n
+    for t in (a, b):
+        assert dict(zip(t["term"], t["df"])) == dict(df)
 
 
 def test_store_count_any(tmp_path):
@@ -385,11 +405,8 @@ def test_store_engine_registry_custom_and_env(ray_session, tmp_path, monkeypatch
         IndexWriter(str(tmp_path / "ix"),
                     EngineOpts(mode="code", num_parts=2, num_shards=2)).build(src)
         monkeypatch.delenv(rstore.ENV_VAR)
-        import glob as _g
-
-        # blocks/terms/docmeta written under the CUSTOM extension
-        assert len(_g.glob(str(tmp_path / "ix" / "segments" / "shard=*" /
-                               "*.myf"))) >= 3
+        # the segment files are written under the CUSTOM extension
+        assert_segment_files(tmp_path / "ix", "myf")
         r = LocalSearcher(str(tmp_path / "ix")).search(
             SearchReq(text="parse json", rank_opts=RankOpts(max_outputs=5)))
         assert r.num_docs > 0

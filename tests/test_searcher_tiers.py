@@ -1,7 +1,8 @@
-"""Every searcher tier runs the same per-shard executor (``ShardSet``) and
-the same gather: the in-process ``LocalSearcher`` and the ``ActorSearcher``
-pool (any actor count) must answer one request list identically, through
-``search`` and ``search_many``, on an index with tombstones.
+"""Every searcher tier runs each query once per process over one fused
+view of the shards that process hosts (``query.ShardData``) and shares one
+gather: the in-process ``LocalSearcher`` and the ``ActorSearcher`` pool (any
+actor count) must answer one request list identically, through ``search``
+and ``search_many``, on an index with tombstones.
 
 Tiers agreeing with each other does not pin the kernels themselves, so
 ``LocalSearcher`` is also held to a recorded golden
