@@ -21,13 +21,17 @@ plus one :func:`rank_hits`.  Planning, batch dedupe and the one gather of
 per-process outputs live in ``_SearcherBase``; the replica tiers wrap
 ``LocalSearcher``.
 
-The driver holds term->df (global BM25 stats = riot NumShards=1 semantics);
-a keyword absent from the global dictionary short-circuits the AND search to
-empty exactly like /root/reference/core/indexer.go:425-430.
+The planner reads global df (riot NumShards=1 semantics) through one
+lookup, ``_df``: ``LocalSearcher`` (and so the replica and dist tiers) takes
+it from its view, which hosts every shard; only the ``ActorSearcher`` driver
+loads :class:`TermStats`.  A keyword absent from the global dictionary
+short-circuits the AND search to empty exactly like
+/root/reference/core/indexer.go:425-430.
 """
 
 from __future__ import annotations
 
+import array
 import os
 
 import numpy as np
@@ -36,59 +40,53 @@ import pyarrow.parquet as pq
 
 from .build import load_stats
 from .config import FREQS_INDEX, EngineOpts
-from .query import ShardData, bm25_idf, merge_ranked, rank_hits
+from .query import ShardData, _bytes_column, bm25_idf, merge_ranked, rank_hits
 from .tokenize import Tokenizer
 from .types import RankOpts, SearchReq, SearchResp
 
 
 class TermStats:
-    """Global term->df dictionary, ARROW-RESIDENT: terms stay in one sorted
-    Arrow string buffer and lookups are O(log n) binary searches.
-
-    A Python dict of the whole vocabulary costs ~100 B/entry of object
-    overhead per searcher replica — GBs at a 10^8-term vocabulary.  Here the
-    resident footprint is the raw UTF-8 bytes + one i64 offset per term
-    (plus the df i64 vector), independent of Python object count.  The
-    lookup is not free: each of its ~15 probes on a 28,640-term vocabulary
-    boxes one ``.as_py()`` string, and a lookup was measured at 25-30 µs,
-    about 20x a ``bisect`` over a Python list (ROADMAP item 14)."""
+    """The ``ActorSearcher`` driver's global term->df table, read from
+    ``termstats/``: that driver hosts no view (a process whose view hosts
+    every shard takes df from the view's own term dictionary).  Terms stay
+    packed, one UTF-8 blob plus an int64 offset per term in byte order
+    (= code-point order = ``str`` order), no Python object per term; a
+    lookup binary-searches byte slices, about 8 µs on 28,640 terms."""
 
     def __init__(self, index_dir: str):
         d = os.path.join(index_dir, "termstats")
-        files = [
-            os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-        ]
+        files = [os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
         t = pa.concat_tables(pq.read_table(f, columns=["term", "df"]) for f in files)
         # builds write the driver-aggregated file term-sorted; the
         # distributed fallback emits several unsorted files — sort once here
-        terms = t["term"].combine_chunks()
-        idx = pa.compute.sort_indices(terms)
-        self._terms = terms.take(idx)
-        self._df = t["df"].combine_chunks().take(idx).to_numpy(zero_copy_only=False)
+        # (Arrow orders strings by their bytes)
+        idx = pa.compute.sort_indices(t["term"])
+        offs, data = _bytes_column(t["term"].take(idx))
+        self._offs = array.array("q", offs.tobytes())
+        self._data = data.tobytes()
+        self._df = t["df"].take(idx).to_numpy()
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._df)
 
     def get(self, term: str, default=None):
-        lo, hi = 0, len(self._terms)
+        key = term.encode("utf-8", "surrogatepass")
+        offs, data = self._offs, self._data
+        lo, hi = 0, len(self._df)
         while lo < hi:
-            mid = (lo + hi) // 2
-            if self._terms[mid].as_py() < term:
+            mid = (lo + hi) >> 1
+            if data[offs[mid]:offs[mid + 1]] < key:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo < len(self._terms) and self._terms[lo].as_py() == term:
+        if lo < len(self._df) and data[offs[lo]:offs[lo + 1]] == key:
             return int(self._df[lo])
         return default
 
     def items(self):
         """Iterate (term, df) — export/debug only, not the query path."""
-        for i in range(len(self._terms)):
-            yield self._terms[i].as_py(), int(self._df[i])
-
-
-def _load_termstats(index_dir: str) -> TermStats:
-    return TermStats(index_dir)
+        for i in range(len(self._df)):
+            yield self._data[self._offs[i]:self._offs[i + 1]].decode(), int(self._df[i])
 
 
 def _load_tombstones(index_dir: str) -> np.ndarray:
@@ -99,7 +97,8 @@ def _load_tombstones(index_dir: str) -> np.ndarray:
 
 class _SearcherBase:
     """Planning, batching and the one gather shared by every sharded
-    searcher.  A subclass supplies where the shards live: ``_run(items,
+    searcher.  A subclass supplies where the shards live: ``_df(term)``
+    returns a term's global df (0 when absent), ``_run(items,
     timeout_ms)`` executes planned queries (:func:`_run_view`) on every
     process hosting a view and returns ``(outputs per process,
     timed_out)``, and ``_removed(tombstones)`` returns each process's
@@ -117,7 +116,6 @@ class _SearcherBase:
                 "byte-identical to the index side)"
             )
         self.tok = (tokenizer_factory or Tokenizer)(self.opts)
-        self.termstats = _load_termstats(index_dir)
         self.hydrate = hydrate
         tomb = _load_tombstones(index_dir)
         self.n_tomb = int(tomb.size)
@@ -178,7 +176,7 @@ class _SearcherBase:
             return None, resp
         dfs = []
         for k in keywords:
-            df = self.termstats.get(k)
+            df = self._df(k)
             if not df:
                 return None, resp
             dfs.append(df)
@@ -244,15 +242,15 @@ class _SearcherBase:
         should = list(logic.expr.should) or (keywords if logic.should else [])
         not_in = list(logic.expr.not_in) or (keywords if logic.not_in else [])
         # a must-keyword missing globally empties the result
-        if not all(self.termstats.get(k) for k in must):
+        if not all(self._df(k) for k in must):
             return None
         # should-keywords missing are dropped; all missing -> empty
-        should_present = [k for k in should if self.termstats.get(k)]
+        should_present = [k for k in should if self._df(k)]
         if should and not should_present:
             return None
         return ("logic_search",
                 dict(must=must, should=should_present,
-                     not_in=[k for k in not_in if self.termstats.get(k)],
+                     not_in=[k for k in not_in if self._df(k)],
                      allow_ids=req.doc_ids, count_only=req.count_docs_only,
                      facets=tuple(req.facets)),
                 rank, keep, req.orderless, False)
@@ -398,6 +396,10 @@ class LocalSearcher(_SearcherBase):
         its write lock across mutate+reload."""
         self.__init__(self.index_dir, self.hydrate, self._tok_factory)
 
+    def _df(self, term):
+        rng = self.view.term_range.get(term)
+        return rng[2] if rng else 0
+
     def _run(self, items, timeout_ms):
         return [_run_view(self.view, items)], False
 
@@ -445,19 +447,13 @@ def has_doc(index_dir: str, doc_id: str) -> bool:
     """HasDocDB analog (driver-side point lookup: crc-routed part file)."""
     import zlib
 
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from .build import load_stats
-
-    stats = load_stats(index_dir)
-    opts = EngineOpts.from_json_dict(stats["opts"])
+    opts = EngineOpts.from_json_dict(load_stats(index_dir)["opts"])
     part = zlib.crc32(doc_id.encode()) % opts.num_parts
     f = os.path.join(index_dir, "forward", f"part={part:05d}.parquet")
     if not os.path.exists(f):
         return False
     t = pq.read_table(f, columns=["doc_id"])
-    return bool(pc.any(pc.equal(t["doc_id"], doc_id)).as_py())
+    return bool(pa.compute.any(pa.compute.equal(t["doc_id"], doc_id)).as_py())
 
 
 # --------------------------------------------------------------------------- #
@@ -740,9 +736,6 @@ class _BatchQueryStage:
         self.max_outputs = max_outputs
 
     def __call__(self, batch):
-        import numpy as np
-        import pyarrow as pa
-
         qids = batch["query_id"].to_pylist()
         texts = batch["text"].to_pylist()
         resps = self.searcher.search_many([
@@ -884,6 +877,7 @@ class ActorSearcher(_SearcherBase):
     def __init__(self, index_dir: str, num_actors: int = 4, hydrate: bool = False,
                  num_cpus_per_actor: float = 1.0, tokenizer_factory=None):
         super().__init__(index_dir, hydrate, tokenizer_factory)
+        self.termstats = TermStats(index_dir)
         # slice the FIXED shard universe, not the shard dirs that happen to
         # exist today: a crash-restarted worker reconstructs the identical
         # slice and reload() needs no re-slicing
@@ -910,8 +904,12 @@ class ActorSearcher(_SearcherBase):
 
         _SearcherBase.__init__(self, self.index_dir, self.hydrate,
                                self._tok_factory)
+        self.termstats = TermStats(self.index_dir)
         ray.get([a.reload.remote() for a in self.actors])
         self._count_removed()
+
+    def _df(self, term):
+        return self.termstats.get(term, 0)
 
     def _run(self, items, timeout_ms):
         import ray

@@ -444,10 +444,10 @@ def _bytes_column(col) -> tuple:
 
 
 class ShardData:
-    """The query view of the shards one process hosts: one term dict over
-    packed block columns, docmeta, forward doc_id strings (and optional
-    hydration / facet columns), all shards fused.  Read-only after load —
-    no locks (riot needs RWMutex striping,
+    """The query view of the shards one process hosts: one term dict
+    (block range and df) over packed block columns, docmeta, forward
+    doc_id strings (and optional hydration / facet columns), all shards
+    fused.  Read-only after load — no locks (riot needs RWMutex striping,
     /root/reference/core/indexer.go:36-52; we don't).
 
     Shards own contiguous ascending doc-u64 ranges (``shard_of_part``) and
@@ -503,8 +503,17 @@ class ShardData:
             [True], pc.not_equal(term[1:], term[:-1]).to_numpy(zero_copy_only=False),
         ))) if len(term) else np.empty(0, np.int64)
         ends = np.append(starts[1:], len(term))
-        self.term_range: dict[str, tuple] = dict(
-            zip(term.take(starts).to_pylist(), zip(starts.tolist(), ends.tolist())))
+        # df over the hosted shards = the sum of blk_n over the term's block
+        # range, the same sum termstats/df.parquet is written from, so a view
+        # over every shard holds the global df.  Exact because add_docs and
+        # compact rebuild every replaced doc out of the segments (tombstoned
+        # docs still count, as in termstats); an add that left replaced docs
+        # in old blocks would have to subtract them here.
+        df = (np.add.reduceat(self.blk_n, starts) if len(starts)
+              else np.empty(0, np.int64))
+        # the process's one term dictionary: term -> (first block, end, df)
+        self.term_range: dict[str, tuple] = dict(zip(
+            term.take(starts).to_pylist(), zip(starts.tolist(), ends.tolist(), df.tolist())))
         self.dm_off = np.cumsum([0] + [d.num_rows for d in dms])
         self.dm_doc = (np.concatenate([d["doc"].to_numpy() for d in dms]).astype(np.uint64)
                        if dms else np.empty(0, np.uint64))
@@ -586,7 +595,7 @@ class ShardData:
         if rng is None:
             out = (np.empty(0, np.uint64), np.empty(0, np.float32))
         else:
-            s, e = rng
+            s, e, _df = rng
             docs = delta_decode_blocks(
                 decode_varbyte(self._block_bytes(self.docs_vb, s, e)), self.blk_n[s:e])
             out = (docs, self._block_bytes(self.tfs_bin, s, e).view("<f4"))
@@ -604,7 +613,7 @@ class ShardData:
         if rng is None:
             out = (np.empty(0, np.int64), np.zeros(1, np.int64))
         else:
-            s, e = rng
+            s, e, _df = rng
             counts = self._block_bytes(self.pos_cnt_bin, s, e).view("<i4").astype(np.int64)
             values = self._block_bytes(self.pos_bin, s, e).view("<i4").astype(np.int64)
             offs = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -949,7 +958,7 @@ class ShardData:
         rng = self.term_range.get(term)
         if rng is None:
             return None
-        s, e = rng
+        s, e, _df = rng
         ub = bm25_term_scores(
             idf,
             self.blk_max_tf[s:e],

@@ -193,3 +193,151 @@ def test_search_facets_param(server, corpus_index):
     assert out["facets"] == resp.facets
     plain = _get(f"{base}/search?query=parse+batch&maxOutputs=3")
     assert "facets" not in plain
+
+
+# ---- framing: every malformed or closing case ends loudly --------------- #
+def _exchange(srv, data: bytes):
+    """Send raw bytes on a fresh connection; return (status, headers, body
+    JSON, closed) of the one reply, ``closed`` meaning the server ended the
+    connection after it."""
+    import http.client
+    import socket
+
+    with socket.create_connection((srv.host, srv.port), timeout=10) as s:
+        s.sendall(data)
+        r = http.client.HTTPResponse(s)
+        r.begin()
+        body = json.loads(r.read())
+        return r.status, r.headers, body, s.recv(1) == b""
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GARBAGE\r\n",
+    b"GET /status HTTP/2\r\n",
+    b"POST /search HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    b"POST /search HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+    b"POST /search HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n",
+    b"POST /search HTTP/1.1\r\nContent-Length: 1\r\n\r\n\xff",
+])
+def test_malformed_request_is_400_json_and_closes(server, request_bytes):
+    _, srv = server
+    status, headers, body, closed = _exchange(srv, request_bytes)
+    assert (status, body["code"], closed) == (400, 400, True)
+    assert headers["Content-Type"].startswith("application/json")
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /status HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    b"GET /status HTTP/1.0\r\n\r\n",
+])
+def test_close_requests_close_after_the_reply(server, corpus_index, request_bytes):
+    _, srv = server
+    status, _, body, closed = _exchange(srv, request_bytes)
+    assert status == 200 and body["n_docs"] == corpus_index["stats"]["n_docs"]
+    assert closed
+
+
+def test_post_then_get_share_one_keepalive_connection(server):
+    import http.client
+
+    _, srv = server
+    conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+    try:
+        body = urllib.parse.urlencode({"query": "parse batch", "maxOutputs": 3})
+        conn.request("POST", "/search", body=body,
+                     headers={"Content-Type": "application/x-www-form-urlencoded"})
+        r = conn.getresponse()
+        posted = json.loads(r.read())
+        sock = conn.sock
+        conn.request("GET", "/search?query=parse+batch&maxOutputs=3")
+        r = conn.getresponse()
+        got = json.loads(r.read())
+        assert conn.sock is sock is not None  # no reconnect in between
+        assert posted["code"] == got["code"] == 0 and posted["len"] == 3
+        assert [d["id"] for d in posted["docs"]] == [d["id"] for d in got["docs"]]
+    finally:
+        conn.close()
+
+
+def test_oversized_request_line_and_header_block_are_refused(server):
+    """64 KiB bounds the request line and the whole header block.  Neither
+    request below ever ends its line or its headers: the reply proves the
+    server stopped reading at the bound instead of waiting for more."""
+    _, srv = server
+    line = b"GET /search?query=" + b"a" * (65537 - 18)
+    assert len(line) == 65537
+    status, _, body, closed = _exchange(srv, line)
+    assert (status, body["code"], closed) == (414, 414, True)
+    head = b"GET /status HTTP/1.1\r\n"
+    big = b"X-Pad: " + b"b" * 59993 + b"\r\n"
+    tail = b"X-More: " + b"c" * (65537 - len(big) - 8)
+    assert len(big + tail) == 65537
+    status, _, body, closed = _exchange(srv, head + big + tail)
+    assert (status, body["code"], closed) == (431, 431, True)
+
+
+def test_unknown_route_and_handler_error_are_json(server, monkeypatch):
+    import riot_ray.httpserve as httpserve
+
+    _, srv = server
+    status, _, body, closed = _exchange(srv, b"GET /nope HTTP/1.1\r\nHost: x\r\n"
+                                             b"Connection: close\r\n\r\n")
+    assert (status, body["code"], closed) == (404, 404, True)
+
+    def boom(self, p):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(httpserve.SearchHTTPServer, "_search", boom)
+    status, _, body, _ = _exchange(srv, b"GET /search?query=x HTTP/1.0\r\n\r\n")
+    assert (status, body) == (500, {"code": 500, "error": "kaput"})
+
+
+# ---- reply bytes ---------------------------------------------------------- #
+def test_reply_bytes_equal_the_dict_shape(server, monkeypatch):
+    """``/search`` and ``/status`` bodies are ``json.dumps`` of the
+    facade's dict shape, key order included, with the clock pinned."""
+    import http.client
+    import types
+
+    import riot_ray.httpserve as httpserve
+    from riot_ray.types import RankOpts, SearchReq
+
+    _, srv = server
+    monkeypatch.setattr(httpserve, "time", types.SimpleNamespace(time=lambda: 1700000000.7))
+    se = srv.searcher
+
+    def want_search(query, offset=0, facets=()):
+        resp = se.search(SearchReq(text=query, facets=facets,
+                                   rank_opts=RankOpts(output_offset=offset, max_outputs=5)))
+        out = {"code": 0, "len": len(resp.docs), "timestamp": 1700000000,
+               "docs": [{"id": h.doc_id,
+                         "content": h.content if h.content is not None else "",
+                         "score": list(h.scores) if h.scores else [h.bm25],
+                         "attri": h.fields or {}} for h in resp.docs]}
+        if resp.facets is not None:
+            out["facets"] = resp.facets
+        return json.dumps(out).encode()
+
+    cases = [
+        ("/search?query=parse+batch&maxOutputs=5", want_search("parse batch")),
+        ("/search?query=parse+batch&maxOutputs=5&facets=lang",
+         want_search("parse batch", facets=("lang",))),
+        ("/search?query=parse&maxOutputs=5&outputOffset=5", want_search("parse", offset=5)),
+        ("/search?query=parse+zzznothere&maxOutputs=5", want_search("parse zzznothere")),
+    ]
+    st = se.stats
+    cases.append(("/status", json.dumps({
+        "code": 0, "n_docs": st.get("n_docs"), "n_postings": st.get("n_postings"),
+        "num_shards": st.get("num_shards"), "tombstones": se.n_tomb}).encode()))
+    conn = http.client.HTTPConnection(srv.host, srv.port, timeout=10)
+    try:
+        for path, want in cases:
+            conn.request("GET", path)
+            got = conn.getresponse().read()
+            assert got == want, path
+            if path.startswith("/search"):
+                assert got.startswith(b'{"code": 0,')
+    finally:
+        conn.close()
+    assert b'"len": 5' in cases[0][1] and b'"facets"' in cases[1][1]
+    assert b'"len": 0' in cases[3][1]

@@ -344,3 +344,38 @@ def test_token_proximity_block_guards_packed_index_overflow(monkeypatch):
     monkeypatch.setattr(q, "_PROX_PACK", np.int64(1) << 24)
     prox, chosen = q.token_proximity_block(flats, ["aa", "bb"])
     assert int(prox[0]) >= 0
+
+
+_TERM = st.text(alphabet="abéÿĀ日\U0001f600", min_size=0, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_TERM, st.integers(1, 10**12), max_size=40),
+       st.integers(1, 4), st.lists(_TERM, max_size=20), st.randoms())
+def test_termstats_get_equals_dict(vocab, n_files, probes, rnd):
+    """``TermStats.get`` (byte-slice binary search) answers exactly as a
+    plain dict, for present, absent, empty, prefix and non-ASCII terms,
+    over termstats split into several unsorted files (the distributed
+    reduce's layout)."""
+    import os
+    import tempfile
+
+    import pyarrow.parquet as pq
+
+    from riot_ray.engine import TermStats
+
+    rows = list(vocab.items())
+    rnd.shuffle(rows)
+    with tempfile.TemporaryDirectory() as d:
+        os.makedirs(os.path.join(d, "termstats"))
+        for i in range(n_files):
+            part = rows[i::n_files]
+            pq.write_table(pa.table({"term": pa.array([t for t, _ in part], pa.string()),
+                                     "df": pa.array([n for _, n in part], pa.int64())}),
+                           os.path.join(d, "termstats", f"part-{i}.parquet"))
+        ts = TermStats(d)
+    assert len(ts) == len(vocab) and dict(ts.items()) == vocab
+    prefixes = [t[:k] for t in vocab for k in range(len(t))]
+    for q in list(vocab) + prefixes + probes + ["", "￿", "b\U0001f600é"]:
+        assert ts.get(q) == vocab.get(q), q
+        assert ts.get(q, 0) == vocab.get(q, 0), q

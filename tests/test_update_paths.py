@@ -55,6 +55,19 @@ def assert_same_index(a, b):
     assert load_tombstones(a).tolist() == load_tombstones(b).tolist()
 
 
+def assert_view_df(index_dir):
+    """The df a full view derives from ``blocks.n`` equals
+    ``termstats/df.parquet`` for every term, tombstoned docs included."""
+    from riot_ray.engine import LocalSearcher
+
+    ts = pq.read_table(os.path.join(index_dir, "termstats"), columns=["term", "df"])
+    want = dict(zip(ts["term"].to_pylist(), ts["df"].to_pylist()))
+    s = LocalSearcher(index_dir)
+    assert {t: df for t, (_s, _e, df) in s.view.term_range.items()} == want
+    assert all(s._df(t) == df for t, df in want.items())
+    assert s._df("no such term") == 0
+
+
 class Twin:
     """Two copies of one index; every call runs on both, the second with
     ``LOCAL_MAX_ROWS`` lowered (to 0 by default, forcing the Ray path), and
@@ -91,6 +104,8 @@ class Twin:
         assert bool(local_paths) == bool(self.paths)
         assert not self.paths or not self.paths[-1], self.paths
         assert_same_index(self.local, self.ray)
+        assert_view_df(self.local)
+        assert_view_df(self.ray)
         return out_local, self.paths
 
 

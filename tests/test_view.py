@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from test_searcher_tiers import (CORPUS, DOC_IDS, FREQS_OPTS, LOCS_OPTS, REMOVED,
                                  _tomb_index)
+from test_update_paths import assert_view_df
 
 from riot_ray.engine import LocalSearcher, _run_view
 from riot_ray.query import ShardData
@@ -125,7 +126,7 @@ def test_fused_view_matches_per_shard_views(which, freqs_index, locs_index):
     per = _PerShard(idx)
     assert len(fused.view.shard_ids) == FREQS_OPTS.num_shards == len(per.views)
     assert fused._global() == per._global()
-    vocab = sorted(t for t, df in fused.termstats.items() if 4 <= df <= 250)
+    vocab = sorted(t for t, (_s, _e, df) in fused.view.term_range.items() if 4 <= df <= 250)
     reqs = _request_mix(7 if which == "freqs" else 8, vocab, 240, which == "freqs")
     want = [_exact(per.search(r), r) for r in reqs]
     # the mix reaches real results on most kinds, tombstones stay out
@@ -213,3 +214,13 @@ def test_removed_stats_stay_per_shard(freqs_index):
     assert [sid for sid, _n, _tl in got] == list(range(6))
     assert sum(n for _sid, n, _tl in got) == len(REMOVED)
     assert s._global()[0] == s.stats["n_docs"] - len(REMOVED)
+
+
+@pytest.mark.parametrize("which", ["freqs", "locs"])
+def test_view_df_equals_termstats(which, freqs_index, locs_index):
+    """A view over every shard is the process's one term dictionary: its
+    df (the sum of ``blocks.n`` over the term's blocks) equals
+    ``termstats/df.parquet`` for every term, tombstoned docs counted."""
+    idx = freqs_index if which == "freqs" else locs_index
+    assert LocalSearcher(idx).n_tomb == len(REMOVED)
+    assert_view_df(idx)
