@@ -189,21 +189,24 @@ class IndexWriter:
             if m.get("fingerprint") != fp:
                 shutil.rmtree(os.path.dirname(man))
 
-    def build_segments(self, postings, fp: str):
+    def build_segments(self, postings, fp: str, merge: bool = False):
         """groupby(shard) -> BuildShard with clamped per-task CPUs — the one
         place the shard-build remote-args live (build/compact/add share it).
         shard_build_num_cpus is clamped to the CURRENT cluster so an index
         built on a big node never makes its maintenance jobs unschedulable
         on a small one.  A ``pa.Table`` of postings is built in-process,
         one BuildShard call per shard; both forms return the manifest
-        frame (empty, with no columns, when there are no postings)."""
+        frame (empty, with no columns, when there are no postings).
+        ``merge`` (updates) merges each group into the shard's own postings
+        against the forward table (``BuildShard`` with ``forward_dir``)."""
         import ray
 
+        shard_fn = BuildShard(self.opts, self.segments_dir, fp,
+                              forward_dir=self.forward_dir if merge else None)
         if isinstance(postings, pa.Table):
             import pandas as pd
 
-            out = map_groups_local(
-                postings, "shard", BuildShard(self.opts, self.segments_dir, fp))
+            out = map_groups_local(postings, "shard", shard_fn)
             return pd.DataFrame() if out is None else out.to_pandas()
 
         cpus = None
@@ -218,7 +221,7 @@ class IndexWriter:
         return (
             postings.groupby("shard")
             .map_groups(
-                BuildShard(self.opts, self.segments_dir, fp),
+                shard_fn,
                 batch_format="pyarrow",
                 num_cpus=num_cpus,
             )

@@ -127,6 +127,10 @@ def make_prepare_fn(opts: EngineOpts):
     return prepare
 
 
+def forward_part_path(forward_dir: str, part: int) -> str:
+    return os.path.join(forward_dir, f"part={part:05d}.parquet")
+
+
 def write_forward_part(forward_dir: str, part: int, table: pa.Table,
                        fingerprint: str, t0: float, **fields) -> dict:
     """Write ``forward/part=K.parquet`` and then its manifest, each by an
@@ -135,7 +139,7 @@ def write_forward_part(forward_dir: str, part: int, table: pa.Table,
     ``t0``).  The one writer of forward parts — the build, add_docs and
     compact — so a manifest always describes its part."""
     os.makedirs(forward_dir, exist_ok=True)
-    final = os.path.join(forward_dir, f"part={part:05d}.parquet")
+    final = forward_part_path(forward_dir, part)
     tmp = os.path.join(forward_dir, f".tmp-{part:05d}-{uuid.uuid4().hex}.parquet")
     pq.write_table(table, tmp)
     os.replace(tmp, final)

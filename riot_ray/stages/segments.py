@@ -20,20 +20,31 @@ no Python loop over terms or blocks):
 Each term string is stored once per shard, in ``blocks.term``: a term's
 shard-local df is the sum of ``blocks.n`` over its rows, which is all the
 global df reduce (``IndexWriter._build_termstats``) reads.
+
+Both halves meet in ``Postings`` (flat per-posting arrays + docmeta).  A
+written shard decodes back to it (``decode_shard``), so updates rebuild a
+shard by merging the postings of the docs it lacks into its own, without
+re-tokenizing the docs it holds (``BuildShard`` with ``forward_dir``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 import uuid
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
-from ..codecs import encode_varbyte
-from ..config import META_TERM, EngineOpts
+from ..codecs import _THRESHOLDS, decode_varbyte, delta_decode_blocks, encode_varbyte
+from ..config import META_TERM, EngineOpts, shard_of_part
+from ..tokenize import needs_positions
+from .prepare import forward_part_path
 
 # default (parquet-engine) segment file names; the writer derives actual
 # names from the configured store engine (riot_ray/store.py) and readers
@@ -72,11 +83,160 @@ def _large_binary_from_offsets(values: bytes, ends: np.ndarray) -> pa.Array:
     )
 
 
+class Postings(NamedTuple):
+    """A shard's content as flat arrays, the form ``BuildShard``'s decode
+    and encode halves meet in: one entry per (term, doc) posting, in any
+    order, and the docmeta sorted by doc.  ``pos_cnt`` holds each posting's
+    number of positions and ``pos`` all positions in posting order; in an
+    index without positions they are zeros and empty."""
+
+    term: pa.Array
+    doc: np.ndarray
+    tf: np.ndarray
+    pos_cnt: np.ndarray
+    pos: np.ndarray
+    dm_doc: np.ndarray
+    dm_len: np.ndarray
+
+    @classmethod
+    def of(cls, term, doc, tf, pos_cnt, pos, dm_doc, dm_len) -> "Postings":
+        """Typed, with the docmeta sorted by doc; ``pos_cnt`` None means no
+        positions."""
+        doc = np.asarray(doc, dtype=np.uint64)
+        if pos_cnt is None:
+            pos_cnt, pos = np.zeros(len(doc), np.int64), np.empty(0, np.int32)
+        dm_doc = np.asarray(dm_doc, dtype=np.uint64)
+        horder = np.argsort(dm_doc)
+        return cls(_one_chunk(term), doc, np.asarray(tf, dtype=np.float32),
+                   np.asarray(pos_cnt, dtype=np.int64), np.asarray(pos, dtype=np.int32),
+                   dm_doc[horder], np.asarray(dm_len, dtype=np.float32)[horder])
+
+    def keep(self, posting_mask: np.ndarray, doc_mask: np.ndarray) -> "Postings":
+        """The postings where ``posting_mask`` and the docmeta rows where
+        ``doc_mask`` is set."""
+        return Postings(
+            self.term.filter(pa.array(posting_mask)), self.doc[posting_mask],
+            self.tf[posting_mask], self.pos_cnt[posting_mask],
+            self.pos[np.repeat(posting_mask, self.pos_cnt)],
+            self.dm_doc[doc_mask], self.dm_len[doc_mask])
+
+    def merge(self, new: "Postings", live: np.ndarray) -> "Postings":
+        """``new`` plus this shard's docs that are in ``live`` (the forward
+        table's docs) and not in ``new``: docs no longer in the forward
+        table are dropped, a doc in both is taken from ``new``."""
+        doc_mask = np.isin(self.dm_doc, live) & ~np.isin(self.dm_doc, new.dm_doc)
+        old = self.keep(np.isin(self.doc, self.dm_doc[doc_mask]), doc_mask)
+        return Postings.of(
+            pa.concat_arrays([old.term, new.term]), np.r_[old.doc, new.doc],
+            np.r_[old.tf, new.tf], np.r_[old.pos_cnt, new.pos_cnt],
+            np.r_[old.pos, new.pos], np.r_[old.dm_doc, new.dm_doc],
+            np.r_[old.dm_len, new.dm_len])
+
+
+def _one_chunk(col) -> pa.Array:
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def _i32_values(col) -> np.ndarray:
+    """The little-endian int32s of a large_binary column, row after row."""
+    return np.frombuffer(_binary_values(col)[0], dtype="<i4").astype(np.int32)
+
+
+def decode_group(group: pa.Table) -> Postings:
+    """A tokenize-stage group, packed or one row per posting, as
+    ``Postings``.  META_TERM rows carry docmeta only (packed: docs with
+    their token_len in the tf slot; unpacked: a doc with no term), and a
+    ``group_anchors`` row adds nothing."""
+    term_col = _one_chunk(group["term"])
+    is_meta = pc.equal(term_col, META_TERM).to_numpy(zero_copy_only=False)
+    if "docs_vb" in group.column_names:
+        # one row per (shard, term) per batch: decode the delta+varbyte docs
+        # and raw-f32 tfs of the whole group in one vectorized pass
+        vb_buf, _ = _binary_values(group["docs_vb"])
+        tf_buf, tf_offs = _binary_values(group["tfs_f32"])
+        tf = np.frombuffer(tf_buf, dtype="<f4")
+        counts = ((tf_offs[1:] - tf_offs[:-1]) // 4).astype(np.int64)
+        row_parent = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        # un-delta with a reset at every row start
+        doc = delta_decode_blocks(decode_varbyte(vb_buf), counts)
+        meta = is_meta[row_parent]
+        post = ~meta
+        return Postings.of(term_col.take(pa.array(row_parent[post])), doc[post],
+                           tf[post], None, None, doc[meta], tf[meta])
+    doc = group["doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    tf = group["tf"].to_numpy(zero_copy_only=False).astype(np.float32)
+    tlen = group["token_len"].to_numpy(zero_copy_only=False).astype(np.float32)
+    # docmeta from head rows: exactly one per doc, set by tokenize
+    head = group["is_head"].to_numpy(zero_copy_only=False).astype(bool)
+    pos_cnt = pos = None
+    if "positions" in group.column_names:
+        # raw values + raw offsets are mutually consistent regardless of
+        # array slicing; lists are never null here
+        pos_col = _one_chunk(group["positions"])
+        offs = pos_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+        pos_cnt = offs[1:] - offs[:-1]
+        pos = pos_col.values.to_numpy(zero_copy_only=False)[offs[0]: offs[-1]]
+    p = Postings.of(term_col, doc, tf, pos_cnt, pos, doc[head], tlen[head])
+    return p.keep(~is_meta, np.ones(len(p.dm_doc), bool))
+
+
+def decode_shard(sdir: str) -> Postings:
+    """The inverse of ``BuildShard``'s encode: a written shard's blocks and
+    docmeta as ``Postings`` (empty when the shard dir does not exist)."""
+    from ..store import read_segment
+
+    if not os.path.isdir(sdir):
+        return Postings.of(pa.array([], pa.string()), [], [], None, None, [], [])
+    blocks = read_segment(sdir, "blocks")
+    dm = read_segment(sdir, "docmeta")
+    n = blocks["n"].to_numpy().astype(np.int64)
+    vb_buf, _ = _binary_values(blocks["docs_vb"])
+    tf_buf, _ = _binary_values(blocks["tfs_f32"])
+    term = _one_chunk(blocks["term"]).take(
+        pa.array(np.repeat(np.arange(len(n), dtype=np.int64), n)))
+    pos_cnt = pos = None
+    if "pos_cnt_i32" in blocks.column_names:
+        pos_cnt, pos = _i32_values(blocks["pos_cnt_i32"]), _i32_values(blocks["pos_i32"])
+    return Postings.of(
+        term, delta_decode_blocks(decode_varbyte(vb_buf), n),
+        np.frombuffer(tf_buf, dtype="<f4"), pos_cnt, pos,
+        dm["doc"].to_numpy(), dm["token_len"].to_numpy())
+
+
+def group_anchors(shards, schema: pa.Schema | None = None) -> pa.Table:
+    """One row per shard, in the tokenize output ``schema`` (packed when
+    None), that opens the shard's ``BuildShard`` group and adds nothing to
+    it: a META_TERM row with no packed docs, or one that is no head row.
+    With them an update's ``groupby(shard)`` has a group for every shard it
+    rebuilds, whether or not any of its docs were tokenized."""
+    if schema is None:
+        schema = pa.schema([("shard", pa.int32()), ("term", pa.string()),
+                            ("docs_vb", pa.large_binary()), ("tfs_f32", pa.large_binary())])
+    n = len(shards)
+    vals = {"shard": list(shards), "term": [META_TERM] * n}
+    empty = {"docs_vb": b"", "tfs_f32": b"", "doc": 0, "tf": 0.0, "token_len": 0.0,
+             "is_head": 0, "positions": []}
+    return pa.table({f.name: pa.array(vals.get(f.name, [empty.get(f.name)] * n), f.type)
+                     for f in schema})
+
+
 class BuildShard:
-    def __init__(self, opts: EngineOpts, segments_dir: str, fingerprint: str):
+    """Group fn of ``groupby(shard)``: decode the group's postings, encode
+    them as the shard's blocks + docmeta, write the shard dir atomically.
+
+    With ``forward_dir`` (updates) the shard is rebuilt in place: the group
+    holds only the postings of forward docs the shard lacks, and they are
+    merged into the shard's own decoded postings, minus the docs its
+    forward parts no longer hold.  The fingerprint check comes first, so a
+    re-executed task skips a shard it already rewrote instead of merging
+    into it twice."""
+
+    def __init__(self, opts: EngineOpts, segments_dir: str, fingerprint: str,
+                 forward_dir: str | None = None):
         self.opts = opts
         self.segments_dir = segments_dir
         self.fingerprint = fingerprint
+        self.forward_dir = forward_dir
         self.__name__ = "BuildShard"
         # resolve the store engine DRIVER-side (this ctor runs on the
         # driver; the instance pickles to workers with the engine's
@@ -101,88 +261,72 @@ class BuildShard:
                 m["skipped"] = True
                 return self._manifest_row(m)
 
-        packed = "docs_vb" in group.column_names
-        with_pos = "positions" in group.column_names
+        p = decode_group(group)
+        if self.forward_dir is not None:
+            p = decode_shard(sdir).merge(p, self._forward_docs(shard))
+            if not len(p.dm_doc):
+                # every doc of the shard is gone: so is its segment dir
+                shutil.rmtree(sdir, ignore_errors=True)
+                return self._manifest_row({"shard": shard, "n_docs": 0,
+                                           "total_token_len": 0.0, "n_terms": 0,
+                                           "n_postings": 0, "n_blocks": 0})
+        blocks, stats = self._encode(p)
+        docmeta = pa.table({"doc": pa.array(p.dm_doc, pa.uint64()),
+                            "token_len": pa.array(p.dm_len, pa.float32())})
 
-        if packed:
-            # packed combiner format (one row per (shard, term) per batch):
-            # decode the delta+varbyte docs / raw-f32 tfs binary columns back
-            # to flat postings + docmeta — ONE vectorized decode over the
-            # whole group's concatenated buffers
-            term_col = group["term"]
-            if isinstance(term_col, pa.ChunkedArray):
-                term_col = term_col.combine_chunks()
-            import pyarrow.compute as pc
+        tmp = sdir + f".tmp-{uuid.uuid4().hex}"
+        os.makedirs(tmp, exist_ok=True)
+        # pluggable segment engine (riot's RegisterStore analog —
+        # riot_ray/store.py; readers autodetect by extension)
+        eng = self._store
+        eng.write_table(blocks, os.path.join(tmp, "blocks" + eng.extension))
+        eng.write_table(docmeta, os.path.join(tmp, "docmeta" + eng.extension))
+        manifest = {
+            "shard": shard,
+            "fingerprint": self.fingerprint,
+            "n_docs": int(len(p.dm_doc)),
+            "total_token_len": float(p.dm_len.sum(dtype=np.float64)),
+            **stats,
+            "bytes": sum(
+                os.path.getsize(os.path.join(tmp, f)) for f in os.listdir(tmp)
+            ),
+            "wall_s": round(time.time() - t0, 4),
+            "skipped": False,
+        }
+        with open(os.path.join(tmp, MANIFEST_FILE), "w") as f:
+            json.dump(manifest, f)
+        if os.path.exists(sdir):
+            shutil.rmtree(sdir)
+        os.replace(tmp, sdir)
+        return self._manifest_row(manifest)
 
-            from ..codecs import decode_varbyte, delta_decode_blocks
+    def _forward_docs(self, shard: int) -> np.ndarray:
+        """The docs of the forward parts that map to ``shard``."""
+        opts = self.opts
+        files = [forward_part_path(self.forward_dir, p) for p in range(opts.num_parts)
+                 if shard_of_part(p, opts.num_parts, opts.num_shards) == shard]
+        files = [f for f in files if os.path.exists(f)]
+        if not files:
+            return np.empty(0, np.uint64)
+        return pq.read_table(files, columns=["doc"])["doc"].to_numpy().astype(np.uint64)
 
-            vb_buf, _ = _binary_values(group["docs_vb"])
-            tf_buf, tf_offs = _binary_values(group["tfs_f32"])
-            tf = np.frombuffer(tf_buf, dtype="<f4")
-            counts = ((tf_offs[1:] - tf_offs[:-1]) // 4).astype(np.int64)
-            row_parent = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-            # un-delta with a reset at every row start
-            doc = delta_decode_blocks(decode_varbyte(vb_buf), counts)
-            is_meta_row = pc.equal(term_col, META_TERM).to_numpy(zero_copy_only=False)
-            meta_mask = np.asarray(is_meta_row, dtype=bool)[row_parent]
-            # docmeta: dedup on doc (a doc appears in exactly one batch)
-            hdoc, hlen = doc[meta_mask], tf[meta_mask]
-            horder = np.argsort(hdoc)
-            docmeta = pa.table(
-                {
-                    "doc": pa.array(hdoc[horder], pa.uint64()),
-                    "token_len": pa.array(hlen[horder], pa.float32()),
-                }
-            )
-            doc, tf = doc[~meta_mask], tf[~meta_mask]
-            term_col = term_col.take(pa.array(row_parent[~meta_mask]))
-            # per-posting doc length for block min_len: docmeta lookup
-            tlen = hlen[horder][np.searchsorted(hdoc[horder], doc)]
-        else:
-            doc = np.asarray(group["doc"].to_numpy(zero_copy_only=False), dtype=np.uint64)
-            tf = np.asarray(group["tf"].to_numpy(zero_copy_only=False), dtype=np.float32)
-            tlen = np.asarray(group["token_len"].to_numpy(zero_copy_only=False), dtype=np.float32)
-            head = group["is_head"].to_numpy(zero_copy_only=False).astype(bool)
-
-            # docmeta from head rows (exactly one per doc — set by tokenize),
-            # BEFORE stripping META_TERM docmeta-only rows
-            hdoc = doc[head]
-            hlen = tlen[head]
-            horder = np.argsort(hdoc)
-            docmeta = pa.table(
-                {
-                    "doc": pa.array(hdoc[horder], pa.uint64()),
-                    "token_len": pa.array(hlen[horder], pa.float32()),
-                }
-            )
-
-            term_col = group["term"]
-            if isinstance(term_col, pa.ChunkedArray):
-                term_col = term_col.combine_chunks()
-        denc = term_col.dictionary_encode()
+    def _encode(self, p: Postings) -> tuple[pa.Table, dict]:
+        """``Postings`` -> the blocks table and its manifest counts: sort by
+        (term, doc), cut a block every ``block_size`` docs or at a term
+        change, delta+varbyte the docs, raw f32 the tfs, raw i32 the
+        positions."""
+        denc = p.term.dictionary_encode()
         codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        vocab = denc.dictionary
-        # dictionary codes are appearance-ordered; rank them lexicographically
-        vocab_np = np.asarray(vocab.to_pylist(), dtype=object)
-        vorder = np.argsort(vocab_np)
-        sorted_vocab = vocab_np[vorder]
-        rank_of_code = np.empty(len(vocab_np), dtype=np.int64)
-        rank_of_code[vorder] = np.arange(len(vocab_np))
+        # dictionary codes are appearance-ordered; rank them by Arrow's
+        # byte-wise string order, which for UTF-8 is Python's code-point order
+        rank_of_code = np.empty(len(denc.dictionary), dtype=np.int64)
+        rank_of_code[pc.sort_indices(denc.dictionary).to_numpy()] = np.arange(
+            len(denc.dictionary))
         rank = rank_of_code[codes]
-
-        # strip docmeta sentinel rows from the posting build.  NB: numpy
-        # coerces a "\x00" comparand to '<U1' and trims the NUL, so
-        # vocab_np == META_TERM is always all-False — compare in Python
-        meta_codes = np.flatnonzero(
-            np.fromiter((v == META_TERM for v in vocab_np), bool, count=len(vocab_np))
-        )
-        if len(meta_codes):
-            keep = codes != meta_codes[0]
-            rank, doc, tf, tlen = rank[keep], doc[keep], tf[keep], tlen[keep]
-            if with_pos:
-                group = group.filter(pa.array(keep))
-        order = np.lexsort((doc, rank))
-        rank_s, doc_s, tf_s, tlen_s = rank[order], doc[order], tf[order], tlen[order]
+        order = np.lexsort((p.doc, rank))
+        rank_s, doc_s, tf_s = rank[order], p.doc[order], p.tf[order]
+        # per-posting doc length for block min_len: docmeta lookup
+        tlen_s = p.dm_len[np.searchsorted(p.dm_doc, doc_s)]
 
         n = len(order)
         if n:
@@ -204,24 +348,18 @@ class BuildShard:
         deltas[starts] = doc_s[starts]
         vb = encode_varbyte(deltas)
         # per-value byte length -> per-block byte ranges
-        from ..codecs import _THRESHOLDS
-
         vlen = np.searchsorted(_THRESHOLDS, deltas, side="right").astype(np.int64) + 1
         vb_ends_all = np.cumsum(vlen)
         blk_byte_ends = vb_ends_all[ends - 1] if len(ends) else np.empty(0, dtype=np.int64)
-        docs_vb = _large_binary_from_offsets(vb, blk_byte_ends)
-
-        tfs_bin = _large_binary_from_offsets(
-            np.ascontiguousarray(tf_s, dtype="<f4").tobytes(), ends * 4
-        )
 
         cols = {
-            "term": pa.array(sorted_vocab[rank_s[starts]], pa.string()),
+            "term": denc.dictionary.take(pa.array(codes[order][starts])),
             "n": pa.array(counts.astype(np.int32), pa.int32()),
             "min_doc": pa.array(doc_s[starts], pa.uint64()),
             "max_doc": pa.array(doc_s[ends - 1], pa.uint64()),
-            "docs_vb": docs_vb,
-            "tfs_f32": tfs_bin,
+            "docs_vb": _large_binary_from_offsets(vb, blk_byte_ends),
+            "tfs_f32": _large_binary_from_offsets(
+                np.ascontiguousarray(tf_s, dtype="<f4").tobytes(), ends * 4),
             "max_tf": pa.array(
                 np.maximum.reduceat(tf_s, starts) if len(starts) else np.empty(0, np.float32),
                 pa.float32(),
@@ -232,23 +370,16 @@ class BuildShard:
             ),
         }
 
-        if with_pos:
-            pos_col = group["positions"]
-            if isinstance(pos_col, pa.ChunkedArray):
-                pos_col = pos_col.combine_chunks()
-            # raw values + raw offsets are mutually consistent regardless of
-            # array slicing; lists are never null here
-            pos_values = pos_col.values.to_numpy(zero_copy_only=False).astype(np.int32)
-            pos_off = pos_col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-            pcounts = (pos_off[1:] - pos_off[:-1])[order]
+        if needs_positions(self.opts):
+            pcounts = p.pos_cnt[order]
             # gather flattened positions in sorted row order
-            row_starts = pos_off[:-1][order]
+            row_starts = (np.cumsum(p.pos_cnt) - p.pos_cnt)[order]
             total_pos = int(pcounts.sum())
             gidx = np.repeat(row_starts, pcounts) + (
                 np.arange(total_pos, dtype=np.int64)
                 - np.repeat(np.cumsum(pcounts) - pcounts, pcounts)
             )
-            pos_sorted = pos_values[gidx] if total_pos else np.empty(0, np.int32)
+            pos_sorted = p.pos[gidx] if total_pos else np.empty(0, np.int32)
             pos_ends_rows = np.cumsum(pcounts)
             cols["pos_cnt_i32"] = _large_binary_from_offsets(
                 np.ascontiguousarray(pcounts, dtype="<i4").tobytes(), ends * 4
@@ -257,38 +388,8 @@ class BuildShard:
             cols["pos_i32"] = _large_binary_from_offsets(
                 np.ascontiguousarray(pos_sorted, dtype="<i4").tobytes(), blk_pos_ends * 4
             )
-
-        blocks = pa.table(cols)
-
-        tmp = sdir + f".tmp-{uuid.uuid4().hex}"
-        os.makedirs(tmp, exist_ok=True)
-        # pluggable segment engine (riot's RegisterStore analog —
-        # riot_ray/store.py; readers autodetect by extension)
-        eng = self._store
-        eng.write_table(blocks, os.path.join(tmp, "blocks" + eng.extension))
-        eng.write_table(docmeta, os.path.join(tmp, "docmeta" + eng.extension))
-        manifest = {
-            "shard": shard,
-            "fingerprint": self.fingerprint,
-            "n_docs": int(len(hdoc)),
-            "total_token_len": float(hlen.sum(dtype=np.float64)),
-            "n_terms": int(len(term_starts)),
-            "n_postings": int(n),
-            "n_blocks": int(len(starts)),
-            "bytes": sum(
-                os.path.getsize(os.path.join(tmp, f)) for f in os.listdir(tmp)
-            ),
-            "wall_s": round(time.time() - t0, 4),
-            "skipped": False,
-        }
-        with open(os.path.join(tmp, MANIFEST_FILE), "w") as f:
-            json.dump(manifest, f)
-        if os.path.exists(sdir):
-            import shutil
-
-            shutil.rmtree(sdir)
-        os.replace(tmp, sdir)
-        return self._manifest_row(manifest)
+        return pa.table(cols), {"n_terms": int(len(term_starts)), "n_postings": int(n),
+                                "n_blocks": int(len(starts))}
 
     @staticmethod
     def _manifest_row(m: dict) -> pa.Table:

@@ -10,19 +10,26 @@ core/indexer.go:135-159).  The batch-engine analog:
   subtracts the removed docs' lengths from the global BM25 stats; no
   segment rewrite.
 * ``compact`` — rewrite only the forward parts / segment shards that
-  contain tombstoned docs (per-partition rewrite, never the whole index),
-  re-deriving postings from the forward table through the same tokenize +
-  BuildShard path as the original build; surviving docs keep their u64 ids
-  so untouched shards stay valid.  Clears the tombstone set.
+  contain tombstoned docs (per-partition rewrite, never the whole index);
+  the dead docs drop out of the rebuilt shards and nothing is tokenized.
+  Surviving docs keep their u64 ids so untouched shards stay valid.
+  Clears the tombstone set.
 * ``add_docs`` — riot's addCache analog: new rows are routed to their
   hash part, keep-last-deduped against the part's existing docs (a re-added
   doc_id tombstones its old u64 and gets a fresh one appended after the
   part's max seq), the touched forward parts are rewritten atomically and
-  only the affected shards are rebuilt.
+  only the affected shards are rebuilt, tokenizing only the added docs.
 
-``add_docs`` and ``compact`` run in-process when the forward rows they
-must read or re-tokenize (Parquet footer counts) are at most
-``LOCAL_MAX_ROWS``: the same stage objects as the build (prepare,
+Both rebuild a shard by one rule (``_rebuild_shards``): it ends up with
+exactly the postings of its forward rows.  Postings of docs the shard
+already holds are decoded from its own blocks and docmeta; only forward
+docs missing from its docmeta go through TokenizeStage; docs the forward
+table no longer holds (replaced on add, tombstoned on compact) are
+dropped.  Like riot, a doc is tokenized once, when it is added.
+
+``add_docs`` and ``compact`` run in-process when the forward rows of the
+shards they rebuild, plus the increment (Parquet footer counts), are at
+most ``LOCAL_MAX_ROWS``: the same stage objects as the build (prepare,
 TokenizeStage, BuildShard, and ``_MergePart`` here) then run over
 ``pa.Table``s, grouped by ``map_groups_local``.  Larger calls are Ray Data
 jobs over just the touched partitions; an increment above the limit is
@@ -37,7 +44,6 @@ import glob
 import json
 import os
 import re
-import shutil
 import time
 import uuid
 
@@ -50,7 +56,8 @@ import ray.data as rd
 from .build import IndexWriter, load_stats, map_groups_local
 from .config import PART_SHIFT, EngineOpts, shard_of_part
 from .stages.prepare import keep_columns, make_prepare_fn, write_forward_part
-from .stages.segments import shard_dir
+from .stages.segments import group_anchors, shard_dir
+from .store import read_segment
 
 
 def _tomb_dir(index_dir: str) -> str:
@@ -85,8 +92,8 @@ def _write_tombstones(index_dir: str, docs: np.ndarray) -> str:
     return final
 
 
-# An add or compact whose forward working set (the rows it must read or
-# re-tokenize) is at most this many rows runs in-process; larger working
+# An add or compact whose forward working set (the forward rows of the
+# shards it rebuilds) is at most this many rows runs in-process; larger working
 # sets are Ray Data jobs.  The limit bounds what one in-process call holds
 # in the driver: an add of 24 docs rebuilding 7 of 8 shards of a code-mode
 # index raised the driver's peak RSS by 66 MB at 2k forward rows, 136 MB
@@ -124,12 +131,46 @@ def _forward_cols(opts: EngineOpts) -> list[str]:
     ]
 
 
-def _read_forward(files: list[str], opts: EngineOpts, local: bool):
-    """Forward rows to re-tokenize: a ``pa.Table`` in-process, else a
-    Dataset — ``apply_tokenize`` / ``build_segments`` take either."""
+def _u64(cols) -> np.ndarray:
+    return np.concatenate([np.empty(0, np.uint64)] + [
+        c.to_numpy().astype(np.uint64) for c in cols])
+
+
+def _rebuild_shards(w: IndexWriter, shards, fp: str, local: bool):
+    """The one shard-rebuild rule of ``add_docs`` and ``compact``: each of
+    ``shards`` ends up holding exactly the postings of its forward rows.
+    Only the forward docs missing from the shard's docmeta are tokenized
+    (in this process when ``local``, else as a Ray Data job); BuildShard
+    decodes every other doc's postings from the shard itself and drops the
+    docs the forward table no longer holds (``build_segments(merge=True)``).
+    The diff is taken against the forward table, so a shard an interrupted
+    update left short heals on its next rebuild.  Every shard gets one
+    ``group_anchors`` row, so it has a group even with nothing to tokenize."""
+    opts = w.opts
+    shards = sorted(shards)
+    files = _shard_files(w.index_dir, opts, shards)
+    fwd = [pq.read_table(files, columns=["doc"])["doc"]] if files else []
+    have = [read_segment(shard_dir(w.segments_dir, s), "docmeta", columns=["doc"])["doc"]
+            for s in shards if os.path.isdir(shard_dir(w.segments_dir, s))]
+    missing = np.setdiff1d(_u64(fwd), _u64(have))
+    post = schema = None
+    if missing.size:
+        want = pc.field("doc").isin(pa.array(missing, pa.uint64()))
+        cols = _forward_cols(opts)
+        if local:
+            post = w.apply_tokenize(pq.read_table(files, columns=cols, filters=want))
+            schema = post.schema
+        else:
+            post = w.apply_tokenize(
+                rd.read_parquet(files, columns=cols, filter=want)).materialize()
+            schema = post.schema().base_schema
+    anchors = group_anchors(shards, schema)
     if local:
-        return pq.read_table(files, columns=_forward_cols(opts))
-    return rd.read_parquet(files, columns=_forward_cols(opts))
+        postings = anchors if post is None else pa.concat_tables([post, anchors])
+    else:
+        anchors = rd.from_arrow(anchors)
+        postings = anchors if post is None else post.union(anchors)
+    w.build_segments(postings, fp, merge=True)
 
 
 def _shard_files(index_dir: str, opts: EngineOpts, shards) -> list[str]:
@@ -161,6 +202,8 @@ def remove_docs(index_dir: str, doc_ids: list[str]) -> dict:
 def compact(index_dir: str, tokenizer_factory=None) -> dict:
     """Apply tombstones physically: rewrite only the forward parts and
     segment shards containing dead docs, then refresh termstats + stats.
+    The shards drop their dead docs' postings and tokenize nothing
+    (``_rebuild_shards``).
     Cheap analog of riot's removeCache sweep (core/indexer.go:258-366) —
     per-partition, resumable, leaves untouched partitions byte-identical."""
     t0 = time.time()
@@ -171,9 +214,10 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
         return {"n_removed": 0, "parts_rewritten": 0, "shards_rebuilt": 0}
     if not opts.store_content:
         raise ValueError(
-            "compact requires an index built with store_content=True: dead "
-            "shards are re-tokenized from the forward table, which holds no "
-            "content in this index (tombstone serving still works)"
+            "compact requires an index built with store_content=True: a "
+            "rebuilt shard tokenizes the forward docs it lacks, and the "
+            "forward table holds no content in this index (tombstone "
+            "serving still works)"
         )
 
     dead_parts = set(np.unique(tomb >> np.uint64(PART_SHIFT)).astype(np.int64).tolist())
@@ -192,24 +236,11 @@ def compact(index_dir: str, tokenizer_factory=None) -> dict:
         t = t.filter(pa.array(~np.isin(doc, tomb)))
         write_forward_part(w.forward_dir, _part_of(f), t, build_fp, t1)
 
-    # 2) rebuild shards owning those parts, from the (now clean) forward table
+    # 2) rebuild the shards owning those parts against the (now clean)
+    # forward table: their dead docs drop out, nothing is tokenized, and a
+    # shard whose docs ALL died loses its segment dir
     fp = f"compact-{uuid.uuid4().hex[:12]}"
-    files = _shard_files(index_dir, opts, dead_shards)
-    rebuilt: set = set()
-    if files:
-        local = _in_process(files)
-        seg = w.build_segments(w.apply_tokenize(_read_forward(files, opts, local)), fp)
-        # an all-dead shard contributes no postings: the groupby can come
-        # back empty with no schema at all
-        if len(seg) and "shard" in seg.columns:
-            rebuilt = {int(x) for x in seg["shard"]}
-    # a shard whose docs ALL died produces no postings group — its stale
-    # segment dir must go, or serving would read postings for docs that no
-    # longer exist in the forward table
-    for s in dead_shards:
-        sdir = shard_dir(w.segments_dir, s)
-        if s not in rebuilt and os.path.exists(sdir):
-            shutil.rmtree(sdir)
+    _rebuild_shards(w, dead_shards, fp, _in_process(_shard_files(index_dir, opts, dead_shards)))
 
     # 3) refresh global termstats + stats from all shard outputs
     w.write_stats(fp, dict(stats, generations=stats.get("generations", [0]) + [fp]))
@@ -278,15 +309,16 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
     hash-routed to their part; each touched part is rewritten (keep-last on
     doc_id — a re-added doc_id replaces the old row and gets a fresh u64
     appended after the part's max seq, mirroring the docsState replace at
-    /root/reference/core/indexer.go:135-159); touched shards are rebuilt."""
+    riot's core/indexer.go:135-159); touched shards are rebuilt by
+    ``_rebuild_shards``, which tokenizes only the added docs."""
     t0 = time.time()
     stats = load_stats(index_dir)
     opts = EngineOpts.from_json_dict(stats["opts"])
     if not opts.store_content:
         raise ValueError(
             "add_docs requires an index built with store_content=True: the "
-            "touched shards are re-tokenized from the forward table, which "
-            "holds no content in this index"
+            "added docs are tokenized from the forward table, which holds "
+            "no content in this index"
         )
     w = IndexWriter(index_dir, opts, tokenizer_factory=tokenizer_factory)
 
@@ -348,8 +380,7 @@ def add_docs(index_dir: str, source, tokenizer_factory=None) -> dict:
         _write_tombstones(index_dir, np.unique(retired))
 
     fp = f"add-{uuid.uuid4().hex[:12]}"
-    files = _shard_files(index_dir, opts, touched_shards)
-    w.build_segments(w.apply_tokenize(_read_forward(files, opts, local)), fp)
+    _rebuild_shards(w, touched_shards, fp, local)
     w.write_stats(fp, dict(stats, generations=stats.get("generations", [0]) + [fp]))
     # retired docs are physically absent from the rebuilt shards; the
     # tombstones written above (which hid them while their old postings

@@ -379,3 +379,48 @@ def test_termstats_get_equals_dict(vocab, n_files, probes, rnd):
     for q in list(vocab) + prefixes + probes + ["", "￿", "b\U0001f600é"]:
         assert ts.get(q) == vocab.get(q), q
         assert ts.get(q, 0) == vocab.get(q, 0), q
+
+
+# non-ASCII, CJK, emoji, combining marks, the last BMP code points and
+# NUL-prefixed terms (META_TERM itself is "\x00" and never a term)
+_SHARD_TERM = st.text(
+    alphabet=st.one_of(st.sampled_from("aZ0~éß日本語\U0001f600\U0001f389́̀"
+                                       "\x00\x7f￿"),
+                       st.characters(exclude_categories=("Cs",))),
+    min_size=1, max_size=5).filter(lambda t: t != "\x00")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SHARD_TERM, min_size=1, max_size=40, unique=True),
+       st.integers(1, 5))
+def test_shard_term_order_is_python_sorted(terms, n_docs):
+    """``blocks.term`` (BuildShard's Arrow sort) and ``termstats/df.parquet``
+    list the terms in Python's ``sorted()`` (code-point) order."""
+    import os
+    import tempfile
+
+    import pyarrow.parquet as pq
+
+    from riot_ray.build import IndexWriter
+    from riot_ray.config import EngineOpts
+    from riot_ray.stages.segments import BuildShard
+
+    # term i goes to doc i % n_docs; the first row of each doc is its head
+    doc = np.arange(len(terms), dtype=np.uint64) % np.uint64(n_docs)
+    head = np.arange(len(terms)) < n_docs
+    group = pa.table({
+        "term": pa.array(terms, pa.string()),
+        "doc": pa.array(doc, pa.uint64()),
+        "tf": pa.array(np.ones(len(terms), np.float32)),
+        "token_len": pa.array(np.full(len(terms), 3, np.float32)),
+        "is_head": pa.array(head.astype(np.uint8)),
+        "shard": pa.array(np.zeros(len(terms), np.int32)),
+    })
+    with tempfile.TemporaryDirectory() as d:
+        w = IndexWriter(d, EngineOpts())
+        BuildShard(w.opts, w.segments_dir, "fp")(group)
+        w._build_termstats()
+        blocks = pq.read_table(os.path.join(w.segments_dir, "shard=00000", "blocks.parquet"))
+        df = pq.read_table(os.path.join(d, "termstats", "df.parquet"))
+    assert blocks["term"].to_pylist() == sorted(terms)
+    assert df["term"].to_pylist() == sorted(terms)

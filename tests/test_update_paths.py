@@ -4,20 +4,26 @@ above it.  Both paths call the same stage objects, so the same sequence of
 index — one forced onto the Ray path by setting the constant to 0 — must
 leave byte-identical forward parts, segment files and termstats, equal
 manifests and stats (apart from the per-call fingerprint and wall time) and
-equal tombstone sets."""
+equal tombstone sets.
+
+A rebuilt shard tokenizes only the forward docs it lacks and decodes the
+rest from itself; after every step its files must equal those of a full
+re-tokenize of the forward table (``assert_from_forward``)."""
 
 import glob
 import json
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+import riot_ray.build as build
 import riot_ray.updates as updates
-from riot_ray.build import IndexWriter
-from riot_ray.config import EngineOpts
+from riot_ray.build import IndexWriter, load_stats
+from riot_ray.config import LOCS_INDEX, EngineOpts
 from riot_ray.corpus import make_corpus
 from riot_ray.updates import add_docs, compact, load_tombstones, remove_docs
 
@@ -68,6 +74,25 @@ def assert_view_df(index_dir):
     assert s._df("no such term") == 0
 
 
+def assert_from_forward(index_dir):
+    """Every segment file equals the one a full re-tokenize of the forward
+    table writes: in-process ``apply_tokenize`` + ``build_segments`` over
+    all forward rows, in a temporary dir beside the index."""
+    opts = EngineOpts.from_json_dict(load_stats(index_dir)["opts"])
+    oracle = index_dir + "_oracle"
+    shutil.rmtree(oracle, ignore_errors=True)
+    w = IndexWriter(oracle, opts)
+    fwd = pq.read_table(sorted(glob.glob(os.path.join(index_dir, "forward", "part=*.parquet"))),
+                        columns=updates._forward_cols(opts))
+    w.build_segments(w.apply_tokenize(fwd), "oracle")
+    pattern = "segments/shard=*/*.parquet"
+    names = _files(index_dir, pattern)
+    assert names == _files(oracle, pattern)
+    for n in names:
+        assert _bytes(os.path.join(index_dir, n)) == _bytes(os.path.join(oracle, n)), n
+    shutil.rmtree(oracle)
+
+
 class Twin:
     """Two copies of one index; every call runs on both, the second with
     ``LOCAL_MAX_ROWS`` lowered (to 0 by default, forcing the Ray path), and
@@ -104,6 +129,7 @@ class Twin:
         assert bool(local_paths) == bool(self.paths)
         assert not self.paths or not self.paths[-1], self.paths
         assert_same_index(self.local, self.ray)
+        assert_from_forward(self.local)
         assert_view_df(self.local)
         assert_view_df(self.ray)
         return out_local, self.paths
@@ -200,3 +226,125 @@ def test_local_and_ray_updates_identical_perdoc(ray_session, tmp_path,
     assert twin(add_docs, rd.from_arrow(table(25, 40)))[0]["n_replaced"] == 5
     twin(remove_docs, ["d1", "d7", "d30"])
     twin(compact)
+
+
+def test_local_and_ray_updates_identical_locations(ray_session, tmp_path, monkeypatch):
+    """A locations index: positions are decoded from the shard and merged."""
+    import ray.data as rd
+
+    full = make_corpus(60, seed=13)
+    idx = _build(str(tmp_path), "locs", full.slice(0, 40), mode="code",
+                 index_type=LOCS_INDEX)
+    twin = Twin(idx, monkeypatch)
+    texts = full["content"].to_pylist()
+    texts[35] += "\nzebra_token quokka zebra_token"
+    changed = full.set_column(full.column_names.index("content"), "content",
+                              pa.array(texts, pa.string()))
+    assert twin(add_docs, rd.from_arrow(changed.slice(35, 15)))[0]["n_replaced"] == 5
+    twin(remove_docs, _ids(full.slice(2, 3)))
+    twin(compact)
+
+
+def _count_tokenized(monkeypatch) -> list:
+    """Row counts of every batch handed to a ``TokenizeStage`` from now on."""
+    seen, real = [], build.TokenizeStage
+
+    def counting(*a, **kw):
+        stage = real(*a, **kw)
+
+        def call(batch):
+            seen.append(batch.num_rows)
+            return stage(batch)
+        return call
+
+    monkeypatch.setattr(build, "TokenizeStage", counting)
+    return seen
+
+
+def _changed(full, lo, hi):
+    """``full`` with new content for rows [lo, hi)."""
+    texts = full["content"].to_pylist()
+    for i in range(lo, hi):
+        texts[i] += "\nzebra_token quokka"
+    return full.set_column(full.column_names.index("content"), "content",
+                           pa.array(texts, pa.string()))
+
+
+def test_rebuild_tokenizes_only_new_docs(ray_session, tmp_path, monkeypatch):
+    """An add tokenizes exactly the docs it adds (``n_added`` counts the
+    replacements too), a compact none."""
+    import ray.data as rd
+
+    full = make_corpus(100, seed=5)
+    idx = _build(str(tmp_path), "count", full.slice(0, 70), mode="code")
+    seen = _count_tokenized(monkeypatch)
+    out = add_docs(idx, rd.from_arrow(_changed(full, 64, 70).slice(64, 26)))
+    assert out["n_added"] == 26 and out["n_replaced"] == 6
+    assert out["shards_rebuilt"] == 2 and sum(seen) == 26
+    assert_from_forward(idx)
+    seen.clear()
+    remove_docs(idx, _ids(full.slice(10, 4)))
+    assert compact(idx)["n_removed"] == 4 and seen == []
+    assert_from_forward(idx)
+
+
+def test_merge_retry_leaves_shard_unchanged(ray_session, tmp_path, monkeypatch):
+    """A re-executed BuildShard merge (same fingerprint) skips the shard it
+    already rewrote; merging the same group again under a new fingerprint
+    also leaves the files as they are."""
+    import ray.data as rd
+
+    full = make_corpus(60, seed=8)
+    idx = _build(str(tmp_path), "retry", full.slice(0, 40), mode="code")
+    calls, real = [], build.BuildShard
+
+    def recording(*a, **kw):
+        fn = real(*a, **kw)
+
+        def call(group):
+            calls.append((fn, group))
+            return fn(group)
+        return call
+
+    monkeypatch.setattr(build, "BuildShard", recording)
+    add_docs(idx, rd.from_arrow(_changed(full, 36, 40).slice(36, 14)))
+    assert len(calls) == 2
+    for fn, group in calls:
+        sdir = os.path.join(idx, "segments", f"shard={int(group['shard'][0].as_py()):05d}")
+        before = {n: _bytes(os.path.join(sdir, n)) for n in os.listdir(sdir)}
+        assert fn(group)["skipped"].to_pylist() == [True]
+        assert {n: _bytes(os.path.join(sdir, n)) for n in os.listdir(sdir)} == before
+        real(fn.opts, fn.segments_dir, "again", forward_dir=fn.forward_dir)(group)
+        for n in ("blocks.parquet", "docmeta.parquet"):
+            assert _bytes(os.path.join(sdir, n)) == before[n], n
+    assert_from_forward(idx)
+
+
+def test_rebuild_heals_short_shard(ray_session, tmp_path, monkeypatch):
+    """A shard left behind its forward parts (an add that rewrote the parts
+    but not the shard) gets the docs it lacks tokenized, and the docs the
+    parts lost dropped, on its next rebuild."""
+    import ray.data as rd
+
+    full = make_corpus(90, seed=9)
+    idx = _build(str(tmp_path), "heal", full.slice(0, 60), mode="code")
+    shard0 = os.path.join(idx, "segments", "shard=00000")
+    stale = str(tmp_path / "stale_shard0")
+    shutil.copytree(shard0, stale)
+    assert add_docs(idx, rd.from_arrow(_changed(full, 55, 60).slice(55, 30)))["n_replaced"] == 5
+    shutil.rmtree(shard0)
+    shutil.copytree(stale, shard0)
+
+    fwd = pq.read_table([os.path.join(idx, "forward", f"part={p:05d}.parquet")
+                         for p in (0, 1)], columns=["doc", "doc_id"])
+    have = pq.read_table(os.path.join(shard0, "docmeta.parquet"))["doc"].to_numpy()
+    doc = fwd["doc"].to_numpy()
+    missing = np.setdiff1d(doc, have)
+    assert missing.size
+    # remove a doc the stale shard still holds, so compact rebuilds shard 0
+    victim = fwd["doc_id"][int(np.flatnonzero(np.isin(doc, have))[0])].as_py()
+    remove_docs(idx, [victim])
+    seen = _count_tokenized(monkeypatch)
+    assert compact(idx)["shards_rebuilt"] == 1
+    assert sum(seen) == missing.size
+    assert_from_forward(idx)
