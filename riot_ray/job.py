@@ -156,9 +156,7 @@ def cmd_retrieve(args) -> int:
         done = committed_parts(args.output, fp, args.partitions)
         if done:
             def undone(b: pa.Table) -> pa.Table:
-                part = part_of(
-                    b["query_id"].to_numpy(zero_copy_only=False),
-                    args.partitions)
+                part = part_of(b["query_id"], args.partitions)
                 return b.filter(pa.array(~np.isin(part, list(done))))
 
             qs = qs.map_batches(undone, batch_format="pyarrow")

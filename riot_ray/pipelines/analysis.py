@@ -10,11 +10,11 @@ outputs are SQL-oracle-checkable (same contract as riot_ray.tokenize
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ..hashing import hex_digest, u64
 
 # Small built-in stopword lists double as language markers for the n-gram /
 # marker-word language heuristic.  Public knowledge (common function words).
@@ -203,25 +203,6 @@ def _group_sum_i64(idx: np.ndarray, weights: np.ndarray,
 # --------------------------------------------------------------------------- #
 # document fingerprinting (rolling hash / winnowing)
 # --------------------------------------------------------------------------- #
-def _token_hashes(flat: pa.Array) -> np.ndarray:
-    """u64 hash per token — hashes computed once per UNIQUE token, then
-    gathered.  The hash is the first 8 md5 bytes read big-endian, i.e.
-    DuckDB's ``('0x' || substr(md5(tok), 1, 16))::UBIGINT`` — chosen so the
-    winnowing fingerprint operator is SQL-oracle-checkable end to end
-    (stable across runs/processes either way)."""
-    denc = pc.dictionary_encode(flat)
-    if isinstance(denc, pa.ChunkedArray):
-        denc = denc.combine_chunks()
-    codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniq = denc.dictionary.to_pylist()
-    table = np.fromiter(
-        (int(hashlib.md5(u.encode()).hexdigest()[:16], 16) for u in uniq),
-        dtype=np.uint64,
-        count=len(uniq),
-    )
-    return table[codes]
-
-
 def fingerprint_batch(
     batch: pa.Table, text_col: str = "text", k: int = 5, window: int = 8
 ) -> pa.Table:
@@ -234,7 +215,7 @@ def fingerprint_batch(
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     flat, parents = _flatten_tokens(texts)
-    h = _token_hashes(flat)
+    h = u64(flat)
     n_rows = batch.num_rows
 
     # k-gram rolling hash over the flat token-hash stream
@@ -274,15 +255,12 @@ def fingerprint_batch(
             for p in np.unique(kg_parent):
                 if not has_win[p]:
                     fps[p].append(int(kg[kg_parent == p].min()))
-    # md5 = DuckDB's md5(text): the whole-doc digest is oracle-checkable
-    digest = [
-        hashlib.md5((texts[i].as_py() or "").encode("utf-8")).hexdigest()
-        for i in range(n_rows)
-    ]
+    # md5 = DuckDB's md5(text), null text as "": oracle-checkable
+    digest = hex_digest(pc.fill_null(texts, ""))
     out = batch.select([c for c in batch.column_names if c != text_col])
     out = out.append_column("fingerprints", pa.array(fps, pa.list_(pa.uint64())))
     out = out.append_column("n_fingerprints", pa.array([len(f) for f in fps], pa.int64()))
-    out = out.append_column("digest", pa.array(digest, pa.string()))
+    out = out.append_column("digest", digest)
     return out
 
 
@@ -310,7 +288,7 @@ def unigram_counts(ds, text_col: str = "text"):
     def partial(batch: pa.Table) -> pa.Table:
         texts = batch[text_col]
         flat, _parents = _flatten_tokens(texts)
-        kh = _token_hashes(flat).view(np.int64)
+        kh = u64(flat).view(np.int64)
         uniq, cnt = np.unique(kh, return_counts=True)
         part = (uniq.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"kh": pa.array(uniq, pa.int64()),
@@ -392,7 +370,7 @@ def unigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
             kh_s, micro_s = ray.get(ref)
             ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             flat, parents = _flatten_tokens(batch[text_col])
-            kh = _token_hashes(flat).view(np.int64)
+            kh = u64(flat).view(np.int64)
             pos = np.searchsorted(kh_s, kh)  # every token is in the vocab
             m = micro_s[pos]
             n_rows = len(ids)
@@ -410,7 +388,7 @@ def unigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
     def occ(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         flat, parents = _flatten_tokens(batch[text_col])
-        kh = _token_hashes(flat).view(np.int64)
+        kh = u64(flat).view(np.int64)
         order = np.lexsort((kh, parents))
         ps, ks = parents[order], kh[order]
         first = np.empty(len(order), bool)
@@ -460,7 +438,7 @@ def _bigram_stream(batch_texts):
     within-doc bigram occurrence of a batch — the FNV-over-md5 chain shared
     with the n-gram dedup kernels."""
     flat, parents = _flatten_tokens(batch_texts)
-    h = _token_hashes(flat)
+    h = u64(flat)
     if len(h) < 2:
         e = np.empty(0, np.int64)
         return e, e, np.empty(0, parents.dtype)
@@ -724,7 +702,7 @@ def doc_freq_counts(ds, text_col: str = "text"):
 
     def partial(batch: pa.Table) -> pa.Table:
         flat, parents = _flatten_tokens(batch[text_col])
-        kh = _token_hashes(flat).view(np.int64)
+        kh = u64(flat).view(np.int64)
         # per-doc unique first (df counts docs, not occurrences)
         order = np.lexsort((kh, parents))
         ps, ks = parents[order], kh[order]
@@ -798,7 +776,7 @@ def tfidf_topk(ds, text_col: str = "text", id_col: str = "doc_id", k: int = 3):
         """(ids, parents-of-unique-rows, kh, tf, term strings) per batch."""
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         flat, parents = _flatten_tokens(batch[text_col])
-        kh = _token_hashes(flat).view(np.int64)
+        kh = u64(flat).view(np.int64)
         order = np.lexsort((kh, parents))
         ps, ks = parents[order], kh[order]
         first = np.empty(len(order), bool)
@@ -937,7 +915,7 @@ def more_like_this(ds, query_ids, k: int = 5,
     def _doc_unique_kh(batch: pa.Table):
         """per-doc-unique (parents, kh, tf) for one batch (lexsort idiom)."""
         flat, parents = _flatten_tokens(batch[text_col])
-        kh = _token_hashes(flat).view(np.int64)
+        kh = u64(flat).view(np.int64)
         order = np.lexsort((kh, parents))
         ps, ks = parents[order], kh[order]
         first = np.empty(len(order), bool)
@@ -1364,7 +1342,7 @@ def repetition_stats_batch(batch: pa.Table, text_col: str = "text",
     # ---- token n-gram metrics (hash-domain counting; strings only for
     # each doc's top-gram candidates)
     flat, tparents = _flatten_tokens(texts)
-    h = _token_hashes(flat)
+    h = u64(flat)
     tlens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
     tok_chars = np.bincount(tparents, weights=tlens, minlength=n_rows)
     top2 = _top_gram_frac(flat, h, tparents, 2, n_rows, tok_chars)
@@ -1466,7 +1444,7 @@ def hot_ngrams(ds, n: int = 3, min_docs: int = 10, text_col: str = "text",
         if isinstance(texts, pa.ChunkedArray):
             texts = texts.combine_chunks()
         flat, tparents = _flatten_tokens(texts)
-        h = _token_hashes(flat)
+        h = u64(flat)
         tot = len(h)
         if tot < n:
             return pa.table({"h": pa.array([], pa.int64()),
@@ -1528,7 +1506,8 @@ def hll_count(ds, col: str = "doc_id", p: int = 12, seed: int = 0,
     driver — the classic sketch answer to distinct-counting 10^12 values.
 
     The value hash is the md5 scheme (``"{v}#{seed}"`` -> first 8 md5
-    bytes) and rho uses exact integer bit-length, so the ESTIMATE ITSELF is
+    bytes; integer or string values, nulls skipped as COUNT(DISTINCT)
+    does) and rho uses exact integer bit-length, so the ESTIMATE ITSELF is
     bit-reproducible in DuckDB SQL (bin()/ltrim for the bit length) — an
     approximate operator with an exact-match oracle.  Standard
     bias-corrected formula + small-range linear counting; 64-bit hashes
@@ -1544,12 +1523,11 @@ def hll_count(ds, col: str = "doc_id", p: int = 12, seed: int = 0,
 
     def partial(batch: pa.Table) -> pa.Table:
         if tokens:
-            flat, _ = _flatten_tokens(
+            vals, _ = _flatten_tokens(
                 batch[col].combine_chunks()
                 if isinstance(batch[col], pa.ChunkedArray) else batch[col])
-            vals = flat.to_numpy(zero_copy_only=False)
-        else:
-            vals = batch[col].to_numpy(zero_copy_only=False)
+        else:  # COUNT(DISTINCT col) skips nulls
+            vals = pc.drop_null(batch[col])
         if len(vals) == 0:
             return pa.table({"bucket": pa.array([], pa.int64()),
                              "rho": pa.array([], pa.int64())})
@@ -1618,7 +1596,7 @@ def grouped_stats(ds, col: str, key_col: str,
         n = np.bincount(codes, minlength=k).astype(np.int64)
         s = _group_sum_i64(codes, v, k)
         s2 = _group_sum_i64(codes, v * v, k)
-        kh = _token_hashes(pa.array(cats, pa.string()))
+        kh = u64(pa.array(cats, pa.string()))
         part = (kh % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"key": pa.array(cats, pa.string()),
                          "n": pa.array(n, pa.int64()),
@@ -1706,7 +1684,7 @@ def grouped_quantiles(ds, col: str, key_col: str,
         starts = np.flatnonzero(first)
         cnt = np.diff(np.concatenate((starts, [len(order)])))
         uk = cats[ck[starts]]
-        kh = _token_hashes(pa.array(uk, pa.string()))
+        kh = u64(pa.array(uk, pa.string()))
         part = (kh % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"key": pa.array(uk, pa.string()),
                          "value": pa.array(cv[starts], pa.int64()),

@@ -34,7 +34,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .analysis import _flatten_tokens, _token_hashes
+from ..hashing import u64
+from .analysis import _flatten_tokens
 
 _EOW = "</w>"  # end-of-word marker, as in the original BPE paper
 
@@ -61,7 +62,7 @@ def word_counts(ds, text_col: str = "text", max_words: int = 200_000,
         cnt = vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)
         # deterministic cross-process hash (python's hash() is per-process
         # randomized — it would split one word across partitions)
-        h = _token_hashes(pa.array(words, pa.string()))
+        h = u64(pa.array(words, pa.string()))
         part = (h % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"word": pa.array(words, pa.string()),
                          "cnt": pa.array(cnt.astype(np.int64), pa.int64()),

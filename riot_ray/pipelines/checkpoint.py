@@ -108,11 +108,11 @@ def checkpointed_write(
     num_partitions: int = 16,
     seed: int = 0,
 ) -> dict:
-    """Write ``ds`` as ``out_dir/part=K/data.parquet`` (K = stable md5 hash
-    of ``partition_col`` mod ``num_partitions``) with atomic per-partition
-    commit + manifest.  ``fingerprint`` identifies the INPUT (source path +
-    mtime, an options hash, ...) — same fingerprint skips committed parts,
-    different one rewrites.  Returns a summary dict."""
+    """Write ``ds`` as ``out_dir/part=K/data.parquet`` (K = :func:`part_of`,
+    the stable md5 hash of ``partition_col`` mod ``num_partitions``) with
+    atomic per-partition commit + manifest.  ``fingerprint`` identifies the
+    INPUT (source path + mtime, an options hash, ...) — same fingerprint
+    skips committed parts, different one rewrites.  Returns a summary dict."""
     if not 1 <= num_partitions <= 99_999:
         raise ValueError(
             f"num_partitions={num_partitions}: the part=NNNNN layout is "
@@ -121,12 +121,8 @@ def checkpointed_write(
     os.makedirs(out_dir, exist_ok=True)
 
     def assign(batch: pa.Table) -> pa.Table:
-        keys = batch[partition_col].to_numpy(zero_copy_only=False)
-        h = _id_hashes(keys, seed)
-        return batch.append_column(
-            "__part",
-            pa.array((h % np.uint64(num_partitions)).astype(np.int32), pa.int32()),
-        )
+        return batch.append_column("__part", pa.array(
+            part_of(batch[partition_col], num_partitions, seed), pa.int32()))
 
     rows = (
         ds.map_batches(assign, batch_format="pyarrow")
@@ -206,8 +202,10 @@ def committed_parts(out_dir: str, fingerprint: str, num_partitions: int,
 
 def part_of(keys, num_partitions: int, seed: int = 0):
     """The partition id checkpointed_write assigns to each key — exposed so
-    callers can pre-filter inputs against :func:`committed_parts`."""
-    h = _id_hashes(np.asarray(keys), seed)
+    callers can pre-filter inputs against :func:`committed_parts`.  Keys
+    are an Arrow column or array-like of non-null integers or strings
+    (:func:`riot_ray.hashing.id_strings`)."""
+    h = _id_hashes(keys, seed)
     return (h % np.uint64(num_partitions)).astype(np.int32)
 
 

@@ -35,7 +35,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .analysis import _flatten_tokens, _group_sum_i64, _token_hashes
+from ..hashing import u64
+from .analysis import _flatten_tokens, _group_sum_i64
 
 # reserved join key for the "doc exists" marker rows on the join path; a
 # real token hashing to this value (p = 2^-64 per token type) would merge
@@ -112,7 +113,7 @@ def nb_fit(ds, text_col: str = "text", label_col: str = "label",
                                  for l in labs),
                                 np.int64, count=len(labs))
         flat, parents = _flatten_tokens(batch[text_col])
-        kh = _token_hashes(flat).view(np.int64)
+        kh = u64(flat).view(np.int64)
         lc = lab_codes[parents]
         order = np.lexsort((lc, kh))
         ks, ls = kh[order], lc[order]
@@ -237,7 +238,7 @@ def nb_classify(
             g_kh, g_M = ray.get(ref)
             ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
             flat, parents = _flatten_tokens(batch[text_col])
-            kh = _token_hashes(flat).view(np.int64)
+            kh = u64(flat).view(np.int64)
             n_rows = len(ids)
             n_tok = np.bincount(parents, minlength=n_rows).astype(np.int64)
             pos = np.searchsorted(g_kh, kh)
@@ -303,7 +304,7 @@ def nb_classify(
     def occ(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         flat, parents = _flatten_tokens(batch[text_col])
-        kh = _token_hashes(flat).view(np.int64)
+        kh = u64(flat).view(np.int64)
         order = np.lexsort((kh, parents))
         ps, ks = parents[order], kh[order]
         first = np.empty(len(order), bool)

@@ -28,7 +28,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .analysis import _flatten_tokens, _token_hashes
+from ..hashing import u64
+from .analysis import _flatten_tokens
 
 
 def _pair_partial(batch: pa.Table, text_col: str, window: int,
@@ -68,8 +69,8 @@ def _pair_partial(batch: pa.Table, text_col: str, window: int,
     keys, cnt = np.unique(allp, return_counts=True)
     a = sorted_uniq[keys // U]
     b = sorted_uniq[keys % U]
-    kh = _token_hashes(pa.array(a, pa.string()))
-    kh = kh * np.uint64(0x9E3779B97F4A7C15) ^ _token_hashes(
+    kh = u64(pa.array(a, pa.string()))
+    kh = kh * np.uint64(0x9E3779B97F4A7C15) ^ u64(
         pa.array(b, pa.string()))
     part = (kh % np.uint64(num_partitions)).astype(np.int32)
     return pa.table({"a": pa.array(a, pa.string()),
@@ -156,7 +157,7 @@ def ppmi_embeddings(ds, dim: int = 32, window: int = 5,
         uniq, inv = np.unique(toks, return_inverse=True)
         tot = np.zeros(len(uniq), np.int64)
         np.add.at(tot, inv, cnt2)
-        part = (_token_hashes(pa.array(uniq, pa.string()))
+        part = (u64(pa.array(uniq, pa.string()))
                 % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"tok": pa.array(uniq, pa.string()),
                          "m": pa.array(tot, pa.int64()),
@@ -279,7 +280,7 @@ def pmi_pairs(ds, text_col: str = "text", window: int = 5,
         uniq, inv = np.unique(toks, return_inverse=True)
         tot = np.zeros(len(uniq), np.int64)
         np.add.at(tot, inv, cnt)
-        part = (_token_hashes(pa.array(uniq, pa.string()))
+        part = (u64(pa.array(uniq, pa.string()))
                 % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"tok": pa.array(uniq, pa.string()),
                          "m": pa.array(tot, pa.int64()),

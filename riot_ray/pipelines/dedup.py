@@ -40,14 +40,14 @@ tiny by construction) and (b) thresholded pair/cluster survivor sets.
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .analysis import _flatten_tokens, _token_hashes, round6
+from ..hashing import digest16, hex_digest, u64
+from .analysis import _flatten_tokens, round6
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -138,19 +138,14 @@ def _unique_pairs(cands, num_partitions: int | None = None):
     return _combine_pairs(cands, num_partitions or _join_parts(None))
 
 
-def _part_of_keys(key: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Partition id for join keys.  Numeric keys mod directly; string keys
-    hash first (md5 once per UNIQUE value in the batch, then gathered —
-    the same per-unique pattern as _token_hashes)."""
-    if key.dtype.kind in "iu":
-        return (key % num_partitions).astype(np.int32)
-    uniq, codes = np.unique(key, return_inverse=True)
-    h = np.fromiter(
-        (int(hashlib.md5(str(u).encode()).hexdigest()[:16], 16) for u in uniq),
-        dtype=np.uint64,
-        count=len(uniq),
-    )
-    return (h[codes] % np.uint64(num_partitions)).astype(np.int32)
+def _part_of_keys(key, num_partitions: int) -> np.ndarray:
+    """Partition id for a join key column.  Integer keys mod directly;
+    any other key hashes its Arrow text (:func:`riot_ray.hashing.u64`).
+    The key must hold no null: :func:`_hash_join` drops those rows first."""
+    if pa.types.is_integer(key.type):
+        return (key.to_numpy() % num_partitions).astype(np.int32)
+    h = u64(key.cast(pa.string()))
+    return (h % np.uint64(num_partitions)).astype(np.int32)
 
 
 class _JoinAssemble:
@@ -226,9 +221,10 @@ def _hash_join(left, right, left_on: str, right_on: str,
     key_t = l_types[left_on]
 
     def tag_left(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_valid(b[left_on]))  # a null key matches nothing
         n = b.num_rows
-        key = b[left_on].to_numpy(zero_copy_only=False)
-        cols = {"__part": pa.array(_part_of_keys(key, num_partitions), pa.int32()),
+        cols = {"__part": pa.array(_part_of_keys(b[left_on], num_partitions),
+                                   pa.int32()),
                 "__role": pa.array(np.zeros(n, np.int8), pa.int8()),
                 "__rkey": pa.nulls(n, key_t)}
         for name in l_names:
@@ -238,9 +234,10 @@ def _hash_join(left, right, left_on: str, right_on: str,
         return pa.table(cols)
 
     def tag_right(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_valid(b[right_on]))
         n = b.num_rows
-        key = b[right_on].to_numpy(zero_copy_only=False)
-        cols = {"__part": pa.array(_part_of_keys(key, num_partitions), pa.int32()),
+        cols = {"__part": pa.array(_part_of_keys(b[right_on], num_partitions),
+                                   pa.int32()),
                 "__role": pa.array(np.ones(n, np.int8), pa.int8()),
                 "__rkey": b[right_on].cast(key_t)}
         for name in l_names:
@@ -366,13 +363,15 @@ def _binary_matrix(col, width: int, dtype) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # exact dedup
 # --------------------------------------------------------------------------- #
-def _text_digest_strs(texts: list) -> list[str]:
+def _text_digests(texts) -> pa.Array:
     """Hex sha256 per text, with NULL kept as its OWN group (SQL
     ``GROUP BY text`` semantics): a null digests to the sentinel
     "\\x00null", which no real hex digest can equal, so null-text rows
     never merge with empty-string rows."""
-    return ["\x00null" if t is None else hashlib.sha256(t.encode()).hexdigest()
-            for t in texts]
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    digest = hex_digest(pc.fill_null(texts, ""), "sha256")
+    return pc.if_else(pc.is_valid(texts), digest, "\x00null")
 
 
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
@@ -380,8 +379,8 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     Returns a Dataset with columns (id_col, n_copies)."""
 
     def digest(batch: pa.Table) -> pa.Table:
-        d = _text_digest_strs(batch[text_col].to_pylist())
-        return pa.table({id_col: batch[id_col], "digest": pa.array(d, pa.string())})
+        return pa.table({id_col: batch[id_col],
+                         "digest": _text_digests(batch[text_col])})
 
     from ray.data.aggregate import Count, Min
 
@@ -406,8 +405,7 @@ def dedup_rows_exact(ds, text_col: str = "text", id_col: str = "doc_id"):
     exact_dedup's oracle: min(id) per digest."""
 
     def digest(batch: pa.Table) -> pa.Table:
-        d = _text_digest_strs(batch[text_col].to_pylist())
-        return batch.append_column("__digest", pa.array(d, pa.string()))
+        return batch.append_column("__digest", _text_digests(batch[text_col]))
 
     def keep_min(group: pa.Table) -> pa.Table:
         ids = group[id_col].to_numpy(zero_copy_only=False)
@@ -425,17 +423,11 @@ def dedup_rows_exact(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 
 def _digest_cols(texts: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """First 128 bits of sha256(text) as two int64 columns — numpy-native
-    membership keys, collision-ignorable at any corpus size."""
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    digs = [hashlib.sha256((t or "").encode()).digest()[:16]
-            for t in texts.to_pylist()]
-    if not digs:
-        z = np.empty(0, np.int64)
-        return z, z
-    arr = np.frombuffer(b"".join(digs), np.int64).reshape(-1, 2)
-    return arr[:, 0].copy(), arr[:, 1].copy()
+    """First 128 bits of sha256(text) (null text as "") as two int64
+    columns — numpy-native membership keys, collision-ignorable at any
+    corpus size."""
+    k = digest16(pc.fill_null(texts, ""), "sha256").view(np.int64)
+    return k[:, 0].copy(), k[:, 1].copy()
 
 
 def write_digests(ds, out_dir: str, fingerprint: str,
@@ -674,14 +666,8 @@ def line_dedup(
             assert idx.max() < (1 << idx_bits), "line_dedup: raise idx_bits"
             assert ids.max() < (1 << (63 - idx_bits)), "line_dedup: doc id too large"
         pack = (ids[parents] << idx_bits) | idx  # int64; fits by the asserts
-        denc = pc.dictionary_encode(flat)
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniq = denc.dictionary.to_pylist()
-        dig = b"".join(hashlib.md5((u or "").encode()).digest() for u in uniq)
-        kh = np.frombuffer(dig, dtype=np.int64).reshape(-1, 2)
-        kh1, kh2 = kh[:, 0][codes], kh[:, 1][codes]
+        kh = digest16(pc.fill_null(flat, "")).view(np.int64)
+        kh1, kh2 = kh[:, 0].copy(), kh[:, 1].copy()
         part = (kh1.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
@@ -779,7 +765,7 @@ def _doc_gram_hashes(texts: pa.Array, n: int):
     cost is per unique TOKEN, not per unique gram (~100x fewer md5 calls on
     natural text).  Shared by shingle_batch, contamination, hot_ngrams."""
     flat, parents = _flatten_tokens(texts)
-    h = _token_hashes(flat)
+    h = u64(flat)
     tot = len(h)
     if tot < n:
         return np.empty(0, np.uint64), np.empty(0, np.int64)
@@ -1626,7 +1612,7 @@ def simhash_batch(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     flat, parents = _flatten_tokens(texts)
-    h = _token_hashes(flat)
+    h = u64(flat)
     n_rows = batch.num_rows
     ids = batch[id_col].to_numpy(zero_copy_only=False)
     sims = np.zeros(n_rows, dtype=np.uint64)

@@ -26,6 +26,9 @@ import struct
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..hashing import u64
 
 MAGIC = b"RRM1"
 
@@ -94,6 +97,16 @@ def make_real_media(n: int, seed: int = 42) -> pa.Table:
     )
 
 
+def _md5_dims(texts) -> tuple[list, list]:
+    """(width, height) per text (null as ""): md5 hex chars 1-4 and 5-8,
+    i.e. the top two 16-bit words of :func:`riot_ray.hashing.u64`,
+    each ``% 57 + 8``."""
+    h = u64(pc.fill_null(texts, "")) >> np.uint64(32)
+    w = (h >> np.uint64(16)) % np.uint64(57) + np.uint64(8)
+    v = (h & np.uint64(0xFFFF)) % np.uint64(57) + np.uint64(8)
+    return w.tolist(), v.tolist()
+
+
 def media_from_docs(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Wrap a text corpus as fake media payloads with md5-derived dimensions —
     the deterministic bridge that makes the binary-column plumbing
@@ -105,11 +118,8 @@ def media_from_docs(ds, text_col: str = "text", id_col: str = "doc_id"):
     def wrap(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         payloads = []
-        for t in texts:
+        for t, w, h in zip(texts, *_md5_dims(batch[text_col])):
             t = t or ""  # null text -> empty body (md5 of "" is defined)
-            d = hashlib.md5(t.encode()).hexdigest()
-            w = int(d[:4], 16) % 57 + 8
-            h = int(d[4:8], 16) % 57 + 8
             mime = "image/fake"
             head = MAGIC + struct.pack("<B", len(mime)) + mime.encode() + struct.pack(
                 "<iii", w, h, 1
@@ -286,11 +296,8 @@ def media_real_from_docs(ds, text_col: str = "text", id_col: str = "doc_id"):
     def wrap(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pylist()
         payloads = []
-        for t in texts:
-            t = t or ""
-            d = hashlib.md5(t.encode()).hexdigest()
-            w = int(d[:4], 16) % 57 + 8
-            h = int(d[4:8], 16) % 57 + 8
+        for t, w, h in zip(texts, *_md5_dims(batch[text_col])):
+            t = t or ""  # null text -> empty body (md5 of "" is defined)
             need = 3 * w * h
             body = (t.encode() or b"\x00")
             body = (body * (need // len(body) + 1))[:need]

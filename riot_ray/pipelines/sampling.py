@@ -1,9 +1,9 @@
 """Deterministic sampling operators for training-data curation.
 
 Both operators key off a stable 64-bit hash (first 8 md5 bytes of
-``"{id}#{seed}"`` — the same DuckDB-reproducible scheme as
-``analysis._token_hashes``) so results are reproducible across runs,
-cluster sizes, and partitionings, and SQL-oracle-checkable:
+``"{id}#{seed}"``, computed by :mod:`riot_ray.hashing` like the token
+hashes) so results are reproducible across runs, cluster sizes, and
+partitionings, and SQL-oracle-checkable:
 
 * ``hash_sample`` — Bernoulli sampling as a pure per-batch filter: keep a
   row iff ``h64 < frac * 2^64``.  No shuffle, no state; at 100 TB this is
@@ -25,27 +25,22 @@ cluster sizes, and partitionings, and SQL-oracle-checkable:
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from ..hashing import hex_digest, id_strings, u64
 from ..query import lookup_sorted
 
 TWO64 = float(2**64)
 
 
-def _id_hashes(ids: np.ndarray, seed: int) -> np.ndarray:
+def _id_hashes(ids, seed: int) -> np.ndarray:
     """u64 = first 8 md5 bytes of "{id}#{seed}", big-endian — DuckDB:
-    ``('0x' || substr(md5(id::VARCHAR || '#<seed>'), 1, 16))::UBIGINT``."""
-    return np.fromiter(
-        (
-            int(hashlib.md5(f"{i}#{seed}".encode()).hexdigest()[:16], 16)
-            for i in ids
-        ),
-        dtype=np.uint64,
-        count=len(ids),
-    )
+    ``('0x' || substr(md5(id::VARCHAR || '#<seed>'), 1, 16))::UBIGINT``.
+    ``ids`` is an Arrow column or array-like of integer or string ids
+    (:func:`riot_ray.hashing.id_strings`); a null id raises."""
+    return u64(pc.binary_join_element_wise(id_strings(ids), f"{seed}", "#"))
 
 
 def hash_sample(ds, frac: float, id_col: str = "doc_id", seed: int = 0):
@@ -61,9 +56,7 @@ def hash_sample(ds, frac: float, id_col: str = "doc_id", seed: int = 0):
     cut = np.uint64(min(int(frac * TWO64), 2**64 - 1))
 
     def keep(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        h = _id_hashes(ids, seed)
-        return batch.filter(pa.array(h < cut))
+        return batch.filter(pa.array(_id_hashes(batch[id_col], seed) < cut))
 
     return ds.map_batches(keep, batch_format="pyarrow")
 
@@ -83,7 +76,7 @@ def stratified_cap(
     def partial_topn(batch: pa.Table) -> pa.Table:
         """Per-batch, per-key N smallest (hash, id) — bounded output."""
         ids = batch[id_col].to_numpy(zero_copy_only=False)
-        h = _id_hashes(ids, seed)
+        h = _id_hashes(batch[id_col], seed)
         keys = batch[key_col]
         if isinstance(keys, pa.ChunkedArray):
             keys = keys.combine_chunks()
@@ -161,7 +154,7 @@ def token_budget_sample(
             texts = texts.combine_chunks()
         _, parents = _flatten_tokens(texts)
         n = np.bincount(parents, minlength=len(ids)).astype(np.int64)
-        h = _id_hashes(ids, seed)
+        h = _id_hashes(batch[id_col], seed)
         return pa.table(
             {
                 "id": pa.array(ids, batch[id_col].type),
@@ -210,7 +203,7 @@ def token_budget_sample(
     def filter_rows(batch: pa.Table) -> pa.Table:
         win = ray.get(winners_ref)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
-        h = _id_hashes(ids, seed)
+        h = _id_hashes(batch[id_col], seed)
         b = (h >> shift).astype(np.int64)
         mask = b < cross
         in_cross = b == cross
@@ -307,8 +300,6 @@ def pack_sequences(
     concurrently, and the modulo bucket key keeps the rule reproducible
     across cluster sizes and SQL-expressible (a recursive CTE replays the
     same recurrence).  Token counts use the shared ``[^a-z0-9]+`` split."""
-    import pyarrow.compute as pc
-
     from .analysis import _flatten_tokens
 
     if budget_tokens <= 0 or n_buckets <= 0:
@@ -396,8 +387,6 @@ def source_mix_sample(
             groups = groups.combine_chunks()
         _flat, parents = _flatten_tokens(batch[text_col])
         n_tok = np.bincount(parents, minlength=len(groups)).astype(np.int64)
-        import pyarrow.compute as pc
-
         denc = pc.dictionary_encode(groups)
         if isinstance(denc, pa.ChunkedArray):
             denc = denc.combine_chunks()
@@ -416,8 +405,6 @@ def source_mix_sample(
     }
 
     def keep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         groups = batch[group_col]
         if isinstance(groups, pa.ChunkedArray):
             groups = groups.combine_chunks()
@@ -432,7 +419,7 @@ def source_mix_sample(
             [cuts.get(v, -1.0) for v in denc.dictionary.to_pylist()],
             dtype=np.float64,
         )
-        h = _id_hashes(ids, seed).astype(np.float64)
+        h = _id_hashes(batch[id_col], seed).astype(np.float64)
         mask = h < cut_by_code[codes]
         return pa.table({id_col: pa.array(ids[mask], pa.int64()),
                          group_col: groups.filter(pa.array(mask)),
@@ -444,50 +431,15 @@ def source_mix_sample(
 # --------------------------------------------------------------------------- #
 # deterministic global shuffle -> exactly-balanced training shards
 # --------------------------------------------------------------------------- #
-_DUCK_MD5 = None  # per-process cached DuckDB connection for _md5_key_column
+def _seeded_key(ids, seed: int) -> pa.Array:
+    """``"{seed}:{id}"`` per row, SQL ``seed || ':' || id`` — the shuffle
+    key's text here and the Gumbel key's in ``select._gumbel_keys``."""
+    return pc.binary_join_element_wise(f"{seed}", id_strings(ids), ":")
 
 
-def _md5_key_column(col, seed: int) -> pa.Array:
-    """md5 hex of ``"{seed}:{value}"`` per row, computed by DuckDB's
-    vectorized C md5 kernel over the Arrow column — no per-row Python
-    hashlib loop (VERDICT r4 #3).  Values are bit-identical to
-    ``hashlib.md5(f"{seed}:{v}".encode()).hexdigest()`` (verified for
-    int64 and string ids), so the SQL oracle
-    ``md5(seed || ':' || id)`` is unchanged.  ``preserve_insertion_order``
-    is forced on so the projected keys align 1:1 with input rows; a
-    hashlib fallback covers environments without duckdb."""
-    if col.null_count:
-        # the two backends disagree on nulls (DuckDB: NULL key; hashlib:
-        # md5 of the stringified null) — a null id has no defined place in
-        # a deterministic permutation, so reject it in both
-        raise ValueError(
-            "shuffle_shards: id column contains nulls — a deterministic "
-            "permutation needs a non-null id per row"
-        )
-    global _DUCK_MD5
-    try:
-        import duckdb
-    except ImportError:
-        vals = col.to_numpy(zero_copy_only=False)
-        return pa.array(
-            [hashlib.md5(f"{seed}:{v}".encode()).hexdigest() for v in vals],
-            pa.string(),
-        )
-    if _DUCK_MD5 is None:
-        _DUCK_MD5 = duckdb.connect(
-            config={"preserve_insertion_order": True})
-    tbl = pa.table({"v": col})
-    self_con = _DUCK_MD5
-    self_con.register("_riot_md5_in", tbl)
-    try:
-        out = self_con.execute(
-            "SELECT md5(? || ':' || v::VARCHAR) AS k FROM _riot_md5_in",
-            [f"{seed}"],
-        ).arrow()
-    finally:
-        self_con.unregister("_riot_md5_in")
-    k = out["k"]
-    return k.combine_chunks() if isinstance(k, pa.ChunkedArray) else k
+def _shuffle_key(col, seed: int) -> pa.Array:
+    """md5 hex of ``"{seed}:{id}"`` per row: SQL ``md5(seed || ':' || id)``."""
+    return hex_digest(_seeded_key(col, seed))
 
 
 def shuffle_shards(ds, n_shards: int, id_col: str = "doc_id", seed: int = 0,
@@ -498,14 +450,14 @@ def shuffle_shards(ds, n_shards: int, id_col: str = "doc_id", seed: int = 0,
     ``n_shards`` so shard row counts differ by at most 1; a training job
     reads shards in id order and sees a fixed, seed-keyed permutation).
 
-    Order key = full md5 hex of ``"{seed}:{id}"`` (deterministic across
-    processes — never python ``hash()``), tiebroken by id: one distributed
-    sort on the key (THE shuffle — unavoidable, a global permutation moves
-    every row by definition), then a metadata-only wave (per-block row
-    counts -> exclusive prefix offsets; the counts are tiny ints on the
-    driver, the sorted data stays in the object store) gives each row its
-    global rank.  ``shard = rank % n_shards`` — round-robin on the hash
-    order is both balanced and pseudo-random.
+    Order key = full md5 hex of ``"{seed}:{id}"`` (:func:`_shuffle_key`;
+    ids must be non-null integers or strings), tiebroken by id: one
+    distributed sort on the key (THE shuffle — unavoidable, a global
+    permutation moves every row by definition), then a metadata-only wave
+    (per-block row counts -> exclusive prefix offsets; the counts are tiny
+    ints on the driver, the sorted data stays in the object store) gives
+    each row its global rank.  ``shard = rank % n_shards`` — round-robin
+    on the hash order is both balanced and pseudo-random.
 
     Returns a Dataset ``(id_col, rank, shard)`` — or, with
     ``carry_rows=True``, EVERY input column plus (rank, shard): the sort
@@ -521,7 +473,7 @@ def shuffle_shards(ds, n_shards: int, id_col: str = "doc_id", seed: int = 0,
     import ray.data as rd
 
     def key(batch: pa.Table) -> pa.Table:
-        ka = _md5_key_column(batch[id_col], seed)
+        ka = _shuffle_key(batch[id_col], seed)
         if carry_rows:
             return batch.append_column("key", ka)
         return pa.table({id_col: batch[id_col], "key": ka})

@@ -17,7 +17,7 @@ the 2x``n_buckets`` int64 model broadcast once via ``ray.put``.  Nothing
 here grows with corpus size except the streams themselves.
 
 Exactness: feature hashing uses the repo's md5-u64 scheme
-(``analysis._token_hashes``) and per-bucket log-probabilities round to
+(``hashing.u64``) and per-bucket log-probabilities round to
 integer micro-nats (``floor(ln((c+1)/(C+B)) * 1e6 + 0.5)``, add-one
 smoothing) exactly like ``unigram_logprob``, so per-doc weights are
 order-independent int64 sums and the whole pipeline — features, buckets,
@@ -26,13 +26,13 @@ model, weights, selection — replays exactly in DuckDB SQL.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .analysis import _flatten_tokens, _group_sum_i64, _token_hashes
+from ..hashing import u64
+from .analysis import _flatten_tokens, _group_sum_i64
+from .sampling import _seeded_key
 
 # partial count vectors are (#blocks x n_buckets) int64 on the driver; the
 # paper's 10k buckets is ~80 KB per block — cap where that reduce stops
@@ -47,7 +47,7 @@ def _feature_buckets(texts: pa.Array, n_buckets: int, ngrams: int):
     joined STRING so the bucket is reproducible as
     ``md5(t1 || ' ' || t2)`` in SQL."""
     flat, parents = _flatten_tokens(texts)
-    hs = [_token_hashes(flat)]
+    hs = [u64(flat)]
     ps = [parents]
     if ngrams >= 2 and len(flat) > 1:
         same = parents[1:] == parents[:-1]
@@ -56,7 +56,7 @@ def _feature_buckets(texts: pa.Array, n_buckets: int, ngrams: int):
             trail = flat.slice(1)
             bi = pc.binary_join_element_wise(lead, trail, " ")
             mask = pa.array(same)
-            hs.append(_token_hashes(bi.filter(mask)))
+            hs.append(u64(bi.filter(mask)))
             ps.append(parents[:-1][same])
     h = np.concatenate(hs) if len(hs) > 1 else hs[0]
     p = np.concatenate(ps) if len(ps) > 1 else ps[0]
@@ -150,11 +150,6 @@ def dsir_weights(ds, target_ds, text_col: str = "text",
     return ds.map_batches(score, batch_format="pyarrow")
 
 
-_DUCK_GUMBEL = None  # cached per-process DuckDB connection (md5 kernel)
-# guards _DUCK_GUMBEL: its register/query/unregister of the fixed view name
-# `_dsir_ids` is not atomic, and threaded callers would hash each other's ids
-_DUCK_GUMBEL_LOCK = threading.Lock()
-
 # driver-side final-reduce gate, same constant/role as simsearch's
 # _DRIVER_REDUCE_MAX_ROWS: below it the #blocks x n partials collapse in
 # one driver pass; above it extra distributed fan-in rounds shrink them
@@ -169,11 +164,11 @@ def _gumbel_keys(ids: np.ndarray, wm: np.ndarray, temperature: float,
     ``weight_micro * 1e-6 + T * (-ln(-ln(u)))`` where ``u`` is a pure
     function of (seed, id) — so the key is deterministic, block-layout
     independent, AND bit-reproducible in SQL.  ``u`` construction: the
-    md5-u64 of ``"{seed}:{id}"`` keeps its top 53 bits with the low bit
-    forced odd (``(h >> 11) | 1``), times 2^-53 — an exactly-representable
-    double in (0, 1), never 0 or 1, so neither engine's ``ln`` can see a
-    pole (a plain ``(h+0.5)/2^64`` rounds to 1.0 for h near 2^64 and
-    NaNs/errors out).  SQL twin:
+    md5-u64 (:mod:`riot_ray.hashing`) of ``"{seed}:{id}"`` keeps its top
+    53 bits with the low bit forced odd (``(h >> 11) | 1``), times 2^-53 —
+    an exactly-representable double in (0, 1), never 0 or 1, so neither
+    engine's ``ln`` can see a pole (a plain ``(h+0.5)/2^64`` rounds to 1.0
+    for h near 2^64 and NaNs/errors out).  SQL twin:
     ``weight_micro * 1e-6 + T * (-ln(-ln(
         (((('0x' || substr(md5(seed || ':' || id), 1, 16))::UBIGINT
            // 2048) | 1))::DOUBLE * power(2.0, -53))))``.
@@ -182,32 +177,7 @@ def _gumbel_keys(ids: np.ndarray, wm: np.ndarray, temperature: float,
     libm here, but IEEE 754 does not require a correctly rounded ``log``,
     so on another libm a 1-ulp difference could swap near-tied keys.
     (``temperature=0`` sorts raw integer weights and is exact anywhere.)"""
-    import hashlib
-
-    try:
-        import duckdb
-
-        global _DUCK_GUMBEL
-        with _DUCK_GUMBEL_LOCK:
-            if _DUCK_GUMBEL is None:  # one connection per worker process,
-                _DUCK_GUMBEL = duckdb.connect(  # not one per batch
-                    config={"preserve_insertion_order": True})
-            con = _DUCK_GUMBEL
-            con.register("_dsir_ids", pa.table({"v": pa.array(ids, pa.int64())}))
-            try:
-                h = con.execute(
-                    "SELECT ('0x' || substr(md5(? || ':' || v::VARCHAR), 1, 16))"
-                    "::UBIGINT AS h FROM _dsir_ids", [f"{seed}"],
-                ).fetch_arrow_table()["h"].to_numpy(zero_copy_only=False)
-            finally:
-                con.unregister("_dsir_ids")
-        h = h.astype(np.uint64)
-    except ImportError:
-        h = np.fromiter(
-            (int(hashlib.md5(f"{seed}:{v}".encode()).hexdigest()[:16], 16)
-             for v in ids),
-            dtype=np.uint64, count=len(ids),
-        )
+    h = u64(_seeded_key(ids, seed))
     u = ((h >> np.uint64(11)) | np.uint64(1)).astype(np.float64) * 2.0 ** -53
     return wm.astype(np.float64) * 1e-6 + temperature * (-np.log(-np.log(u)))
 

@@ -4125,18 +4125,19 @@ def test_exact_dedup_null_vs_empty_text(ray_session):
 
 
 def test_shuffle_shards_key_is_vectorized_md5(ray_session):
-    """The order key is DuckDB's C md5 kernel (no per-row Python hashlib
-    loop) and bit-identical to hashlib for int64 AND string ids."""
+    """The order key is the md5 hex of "{seed}:{id}" from the one hash
+    kernel (riot_ray/hashing.py), bit-identical to hashlib for int64 AND
+    string ids."""
     import hashlib as _hl
 
-    from riot_ray.pipelines.sampling import _md5_key_column
+    from riot_ray.pipelines.sampling import _shuffle_key
 
     ids = np.array([-3, 0, 1, 7, 12345678901234], np.int64)
-    ka = _md5_key_column(pa.chunked_array([pa.array(ids, pa.int64())]), 9)
+    ka = _shuffle_key(pa.chunked_array([pa.array(ids, pa.int64())]), 9)
     want = [_hl.md5(f"9:{i}".encode()).hexdigest() for i in ids]
     assert ka.to_pylist() == want
     s = ["a", "b:x", "", "héllo"]
-    ks = _md5_key_column(pa.array(s, pa.string()), 0)
+    ks = _shuffle_key(pa.array(s, pa.string()), 0)
     assert ks.to_pylist() == [
         _hl.md5(f"0:{x}".encode()).hexdigest() for x in s]
 
@@ -4873,12 +4874,11 @@ print("BAD", sorted(set(bad)))
 
 
 def test_gumbel_keys_thread_safe():
-    """Threads sharing the per-process DuckDB connection must each get the
-    keys of their own ids (the fixed `_dsir_ids` view name is registered,
-    queried and unregistered per call); checked against the pure hashlib
-    form of the same key, with more threads than cores and a short switch
-    interval.  Runs in a child process: the unguarded race can deadlock
-    inside DuckDB, which must fail this test, not hang the suite."""
+    """Threaded callers must each get the keys of their own ids (the
+    hash kernel keeps no shared state); checked against the pure hashlib
+    form of the same key, with more threads than cores and a short
+    switch interval.  Runs in a child process: a deadlock must fail this
+    test, not hang the suite."""
     import os
     import subprocess
     import sys
