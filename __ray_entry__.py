@@ -2702,7 +2702,7 @@ def oracle_sql() -> dict[str, str]:
             QUALIFY rank <= {K}
             """,
         # DSIR (Xie et al. 2023, arXiv:2302.03169): hashed unigram+bigram
-        # buckets (md5-u64 % B, = riot_ray's _token_hashes scheme), add-one
+        # buckets (md5-u64 % B, = riot_ray.hashing.u64), add-one
         # integer micro-nat log-ratio model target(lang='en') vs raw(all),
         # per-doc occurrence-sum weights.  dsir_select = top-100 QUALIFY.
         "dsir_weights": _dsir_sql(),
@@ -2726,7 +2726,7 @@ def oracle_sql() -> dict[str, str]:
     out["bm25_topk_wand"] = out["bm25_topk"]  # WAND must match exhaustive
 
     # fingerprints: full winnowing (Schleimer et al. SIGMOD'03) in SQL.
-    # Token hash = first 8 md5 bytes as UBIGINT (= riot_ray._token_hashes);
+    # Token hash = first 8 md5 bytes as UBIGINT (= riot_ray.hashing.u64);
     # k-gram rolling hash = the same (kg * FNV64) ^ h chain in mod-2^64
     # HUGEINT arithmetic; window minima + short-doc fallback as in
     # riot_ray.pipelines.analysis.fingerprint_batch (k=5, window=8).
@@ -2899,7 +2899,7 @@ def oracle_sql() -> dict[str, str]:
     out["dedup_minhash_exact"] = out["dedup_ngram_jaccard"]
 
     # simhash: the 64-bit tf-weighted signature is fully recomputable in SQL
-    # (token hash = first 8 md5 bytes, same as _token_hashes; bit b set iff
+    # (token hash = first 8 md5 bytes, same as riot_ray.hashing.u64; bit b set iff
     # 2*sum_of_bit_b_over_occurrences > n_occurrences), and the 7-block
     # pigeonhole blocking in simhash_pairs is COMPLETE for hamming <= 6, so
     # the pipeline output equals the brute hamming-<=6 pair set.
@@ -3416,7 +3416,7 @@ def oracle_sql() -> dict[str, str]:
         """
 
     # deterministic sampling: id-hash = first 8 md5 bytes of "{id}#{seed}"
-    # (the same DuckDB-reproducible scheme as _token_hashes)
+    # (the same DuckDB-reproducible scheme as riot_ray.hashing.u64)
     _cut = int(0.25 * float(2**64))  # same float path as hash_sample
     out["hash_sample"] = f"""
         SELECT doc_id, source FROM documents

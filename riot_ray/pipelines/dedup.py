@@ -1717,6 +1717,22 @@ def simhash_pairs(
 # --------------------------------------------------------------------------- #
 # embedding cosine near-dup
 # --------------------------------------------------------------------------- #
+def _unit_nvec(V: np.ndarray):
+    """``(U, nvec)``: the float64 rows of ``V`` unit-normalized
+    (``simsearch._normalize``) and each packed as one little-endian f8
+    ``large_binary`` value — THE packing every embedding dedup kernel
+    reads back with ``_binary_matrix``."""
+    from .simsearch import _normalize
+
+    U = np.ascontiguousarray(_normalize(V), dtype="<f8")
+    offsets = np.arange(len(U) + 1, dtype=np.int64) * U.shape[1] * 8
+    nvec = pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(U),
+        [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(U.tobytes())],
+    )
+    return U, nvec
+
+
 def _pack_norm_vec(batch: pa.Table, id_col: str, vec_col: str) -> pa.Table:
     """(id, nvec:large_binary) — unit-normalized f64 vector packed per row
     (binary survives hash joins; normalization done once, upstream of every
@@ -1727,18 +1743,8 @@ def _pack_norm_vec(batch: pa.Table, id_col: str, vec_col: str) -> pa.Table:
         vec = vec.combine_chunks()
     V = np.stack(vec.to_numpy(zero_copy_only=False)).astype(np.float64) \
         if len(ids) else np.empty((0, 0))
-    if len(ids):
-        n = np.linalg.norm(V, axis=1, keepdims=True)
-        n[n == 0] = 1.0
-        V = V / n
-    dim = V.shape[1] if len(ids) else 0
-    packed = np.ascontiguousarray(V, dtype="<f8").tobytes()
-    offsets = np.arange(len(ids) + 1, dtype=np.int64) * dim * 8
-    nvec = pa.LargeBinaryArray.from_buffers(
-        pa.large_binary(), len(ids),
-        [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(packed)],
-    )
-    return pa.table({id_col: pa.array(ids, pa.int64()), "nvec": nvec})
+    return pa.table({id_col: pa.array(ids, pa.int64()),
+                     "nvec": _unit_nvec(V)[1]})
 
 
 def embedding_dup_pairs(
@@ -1964,15 +1970,7 @@ def semdedup(
         a, _d = _nearest_clusters(V, g_C)
         # pack the unit-normalized rows from the ALREADY-stacked matrix
         # (one Arrow->numpy conversion per batch, not two)
-        nrm = np.linalg.norm(V, axis=1, keepdims=True)
-        nrm[nrm == 0] = 1.0
-        U = np.ascontiguousarray(V / nrm, dtype="<f8")
-        dim = U.shape[1] if len(ids) else 0
-        offsets = np.arange(len(ids) + 1, dtype=np.int64) * dim * 8
-        nvec = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(), len(ids),
-            [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(U.tobytes())],
-        )
+        U, nvec = _unit_nvec(V)
         cols = {id_col: pa.array(ids, pa.int64()), "nvec": nvec,
                 "cluster": pa.array(a, pa.int64())}
         if keep == "centroid":

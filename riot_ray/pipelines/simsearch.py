@@ -1,23 +1,23 @@
-"""Similarity search over an embedding column (list<float>).
-
-* ``knn_brute`` — exact cosine top-k: the (small) query matrix is broadcast
-  once via ``ray.put``; every batch computes one matmul and emits its local
-  top-k per query; a distributed ``groupby(query_id)`` reduce collapses the
-  per-block partials off-driver (the driver materializes only nq × k final
-  rows, independent of block count).  This is the baseline/oracle path
-  (DuckDB ``list_cosine_similarity`` checks it).
-* ``knn_lsh`` — the scale path: random-hyperplane LSH signs bucket both the
-  corpus and the queries; only buckets a query probes (its own + multiprobe
-  single-bit flips) are scanned.  Approximate — tests pin recall vs brute.
-* ``knn_ivf`` — the other classic scale path: a spherical k-means coarse
-  quantizer (trained once on a bounded sample, centroids broadcast via
-  ``ray.put``) partitions the corpus into ``n_lists`` inverted lists; a
-  query scores only rows whose list is among its ``nprobe`` nearest
-  centroids.  ``nprobe == n_lists`` degenerates to exact brute force
-  (tested); smaller nprobe trades recall for a 1/nprobe scan fraction.
-
-All return (query_id, vec_id, cosine, rank) with rank 1..k per query,
-cosine rounded to 6dp, ties broken by vec_id ascending (deterministic).
+"""Similarity search over an embedding column (list<float>): nine search
+and index operators built as ONE scan.  ``knn_brute`` scores a batch as
+``Q @ V.T`` (exact cosine; DuckDB ``list_cosine_similarity`` checks it);
+``knn_lsh`` scores only rows whose random-hyperplane bucket a query probes
+in any of its tables (its own bucket + multiprobe bit flips); ``knn_ivf``
+trains a spherical k-means coarse quantizer on a bounded sample, assigns
+each row a ``list_id`` and scores only rows whose list is among a query's
+``nprobe`` nearest centroids; ``build_ivf_index`` persists that layout
+list-partitioned and ``knn_ivf_query`` reads only the probed partitions;
+``build_pq_index`` persists product-quantized codes in the same layout and
+``knn_pq_query`` scores them with ADC lookup tables; ``knn_int8_codes``
+scores int8 codes by integer dot product, and ``knn_int8`` is
+``quantize_embeddings`` followed by ``knn_int8_codes``.  Every search has
+one shape: the query state is broadcast once via ``ray.put``, each batch
+emits a per-query top-k partial from the single kernel
+:func:`_batch_topk`, and :func:`_reduce_topk` merges the partials.  All
+return (query_id, vec_id, cosine, rank) (``dot_q`` in place of cosine for
+the int8 pair) with rank 1..k per query, cosine rounded to 6dp, and one
+tie rule everywhere, in the partials and in the reduce: score descending,
+then vec_id ascending — so results never depend on block layout.
 """
 
 from __future__ import annotations
@@ -34,6 +34,20 @@ def _normalize(M: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(M, axis=1, keepdims=True)
     n[n == 0] = 1.0
     return M / n
+
+
+def _unit_rows(batch: pa.Table, vec_col: str) -> np.ndarray:
+    """The batch's vector column as unit-norm float64 rows."""
+    return _normalize(np.stack(
+        batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64))
+
+
+def _flat_values(batch: pa.Table, col: str) -> np.ndarray:
+    """The flattened child values of a fixed-width list column."""
+    c = batch[col]
+    if isinstance(c, pa.ChunkedArray):
+        c = c.combine_chunks()
+    return c.flatten().to_numpy(zero_copy_only=False)
 
 
 def _nearest_clusters(V: np.ndarray, C: np.ndarray):
@@ -74,9 +88,46 @@ _EMPTY_RESULT_SCHEMA = pa.schema(
      ("cosine", pa.float64()), ("rank", pa.int64())]
 )
 
+# the per-batch partial every scan emits and _reduce_topk consumes
+_PARTIAL_SCHEMA = pa.schema(
+    [("query_id", pa.int64()), ("vec_id", pa.int64()),
+     ("cosine_raw", pa.float64())]
+)
+
 
 def _empty_result() -> pa.Table:
     return _EMPTY_RESULT_SCHEMA.empty_table()
+
+
+def _batch_topk(qids: np.ndarray, ids: np.ndarray, scores: np.ndarray,
+                mask: np.ndarray | None, k: int) -> pa.Table:
+    """THE per-batch partial of every kNN operator.  ``scores`` is
+    (nq, n): query ``qids[i]`` against row ``ids[j]``; ``mask`` (same
+    shape, or None for all) marks the candidate rows.  Keeps each query's
+    first ``k`` candidates by (score desc, vec_id asc) — tie-exact, so the
+    reduced result cannot depend on how rows fall into batches.  O(n) per
+    query: a partition finds each query's k-th best score and only the
+    rows at or above it (k plus any tied with it) are ordered."""
+    kk = min(k, scores.shape[1])
+    if kk <= 0 or len(qids) == 0:
+        return _PARTIAL_SCHEMA.empty_table()
+    s = scores if mask is None else np.where(mask, scores, -np.inf)
+    kth = -np.partition(-s, kk - 1, axis=1)[:, kk - 1]
+    keep = s >= kth[:, None]
+    if mask is not None:
+        keep &= mask  # a query with < k candidates has kth == -inf
+    r, c = np.nonzero(keep)
+    vid, sc = ids[c], scores[r, c]
+    order = np.lexsort((vid, -sc, r))
+    r, vid, sc = r[order], vid[order], sc[order]
+    first = np.searchsorted(r, r)  # r is sorted: each query's first slot
+    take = np.arange(len(r)) - first < kk
+    return pa.table(
+        {"query_id": pa.array(qids[r[take]], pa.int64()),
+         "vec_id": pa.array(vid[take], pa.int64()),
+         "cosine_raw": pa.array(sc[take], pa.float64())},
+        schema=_PARTIAL_SCHEMA,
+    )
 
 
 # gate between the driver reduce and the distributed groupby reduce:
@@ -139,6 +190,28 @@ def _reduce_topk(partials_ds, k: int) -> pa.Table:
     return tbl.take(pa.array(order, pa.int64()))
 
 
+def _knn_scan(ds, query_ids, k: int, id_col: str, score, state: tuple):
+    """The one plan every kNN operator runs.  ``state`` is broadcast once
+    via ``ray.put`` (NOT re-shipped per batch); for each batch
+    ``score(batch, *state)`` returns ``(scores (nq, n), candidate mask or
+    None)``, or None when no row of the batch is a candidate;
+    :func:`_batch_topk` turns that into the batch's partial and
+    :func:`_reduce_topk` merges the partials."""
+    import ray
+
+    qids = np.asarray(query_ids, dtype=np.int64)
+    ref = ray.put(state)
+
+    def local(batch: pa.Table) -> pa.Table:
+        scored = score(batch, *ray.get(ref)) if batch.num_rows else None
+        if scored is None:
+            return _PARTIAL_SCHEMA.empty_table()
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return _batch_topk(qids, ids, *scored, k)
+
+    return _reduce_topk(ds.map_batches(local, batch_format="pyarrow"), k)
+
+
 def knn_brute(
     ds,
     queries: np.ndarray,
@@ -149,34 +222,11 @@ def knn_brute(
 ):
     """Exact cosine top-k.  ``queries``: (nq, dim) float array (broadcast —
     ray.put once, NOT re-shipped per batch)."""
-    import ray
+    def score(batch: pa.Table, Q: np.ndarray):
+        return Q @ _unit_rows(batch, vec_col).T, None
 
     Q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    qref = ray.put((qids, Q))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        g_qids, g_Q = ray.get(qref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        V = _normalize(np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64))
-        sims = g_Q @ V.T  # (nq, batch)
-        kk = min(k, sims.shape[1])
-        # per-query local top-k (argpartition then exact sort happens at merge)
-        part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-        rq = np.repeat(g_qids, kk)
-        rv = ids[part.ravel()]
-        rs = np.take_along_axis(sims, part, axis=1).ravel()
-        return pa.table(
-            {
-                "query_id": pa.array(rq, pa.int64()),
-                "vec_id": pa.array(rv, pa.int64()),
-                "cosine_raw": pa.array(rs, pa.float64()),
-            }
-        )
-
-    return _reduce_topk(
-        ds.map_batches(local_topk, batch_format="pyarrow"), k
-    )
+    return _knn_scan(ds, query_ids, k, id_col, score, (Q,))
 
 
 def _spherical_kmeans(X: np.ndarray, k: int, seed: int, iters: int = 10) -> np.ndarray:
@@ -195,6 +245,67 @@ def _spherical_kmeans(X: np.ndarray, k: int, seed: int, iters: int = 10) -> np.n
         live = norms > 0
         C[live] = sums[live] / norms[live, None]
     return C
+
+
+def _sample_rows(ds, vec_col: str, n: int) -> np.ndarray:
+    """The first ``n`` rows' vectors as float64 — the bounded driver-side
+    sample every trainer in this module starts from."""
+    sample = ds.select_columns([vec_col]).limit(n).take_all()
+    return np.stack([r[vec_col] for r in sample]).astype(np.float64)
+
+
+def _train_ivf(ds, vec_col: str, n_lists: int, sample_n: int, seed: int,
+               train_iters: int):
+    """THE IVF trainer: the unit-norm sample ``X`` and spherical k-means
+    coarse centroids ``C`` trained on it (``len(C)`` may be below
+    ``n_lists`` on tiny corpora).  Shared by :func:`knn_ivf` and both
+    index builders, so an in-memory and a persisted index built with the
+    same (ds, seed, sample_n) agree exactly."""
+    X = _normalize(_sample_rows(ds, vec_col, sample_n))
+    return X, _spherical_kmeans(X, n_lists, seed, train_iters)
+
+
+def _list_ids(V: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Each unit row's inverted list: its nearest coarse centroid."""
+    return np.argmax(V @ C.T, axis=1).astype(np.int32)
+
+
+def _assign_lists(batch: pa.Table, cref, vec_col: str) -> pa.Table:
+    """``batch`` plus its ``list_id`` (int32) against the centroids behind
+    ``cref`` — the assign of :func:`build_ivf_index` and :func:`knn_ivf`."""
+    import ray
+
+    lists = _list_ids(_unit_rows(batch, vec_col), ray.get(cref))
+    return batch.append_column("list_id", pa.array(lists, pa.int32()))
+
+
+def _probe_mask(Q: np.ndarray, C: np.ndarray, nprobe: int) -> np.ndarray:
+    """probe[qi, list] = query qi scans that inverted list: its ``nprobe``
+    nearest centroids (all lists when ``nprobe >= len(C)``)."""
+    nprobe = min(nprobe, len(C))
+    probe = np.argpartition(-(Q @ C.T), nprobe - 1, axis=1)[:, :nprobe]
+    mask = np.zeros((len(Q), len(C)), dtype=bool)
+    np.put_along_axis(mask, probe, True, axis=1)
+    return mask
+
+
+def _probed(batch: pa.Table, probe: np.ndarray):
+    """The batch's (nq, n) candidate mask — a row is a candidate for the
+    queries probing its ``list_id`` — or None when no row is probed."""
+    mask = probe[:, batch["list_id"].to_numpy(zero_copy_only=False)]
+    return mask if mask.any() else None
+
+
+def _ivf_scan(ds, Q, query_ids, probe, k, vec_col, id_col):
+    """The IVF probe scan over rows that carry ``list_id``: exact cosine,
+    restricted to each query's probed lists."""
+    def score(batch: pa.Table, Q: np.ndarray, probe: np.ndarray):
+        mask = _probed(batch, probe)
+        if mask is None:
+            return None
+        return Q @ _unit_rows(batch, vec_col).T, mask
+
+    return _knn_scan(ds, query_ids, k, id_col, score, (Q, probe))
 
 
 def knn_ivf(
@@ -219,64 +330,19 @@ def knn_ivf(
     ``ray.put``); only tiny per-batch top-k partials centralize.
 
     At cluster scale, write the corpus list-partitioned
-    (``ds.add_column(list_id) .. write_parquet(partition_cols=["list_id"])``)
-    so probes prune at the READ instead of post-assignment — this operator
-    is the scan kernel either way.  Same output contract as
-    :func:`knn_brute`; ``nprobe >= n_lists`` reproduces it exactly."""
+    (:func:`build_ivf_index`) so probes prune at the READ instead of
+    post-assignment — this operator assigns lists with the same assign
+    and runs the same probe scan as :func:`knn_ivf_query`.  Same output
+    contract as :func:`knn_brute`; ``nprobe >= n_lists`` reproduces it
+    exactly."""
     import ray
 
     Q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    sample = ds.select_columns([vec_col]).limit(sample_n).take_all()
-    X = _normalize(np.stack([r[vec_col] for r in sample]).astype(np.float64))
-    C = _spherical_kmeans(X, n_lists, seed, train_iters)
-    n_lists = len(C)  # may shrink on tiny corpora
-    nprobe = min(nprobe, n_lists)
-    # probe_mask[qi, list] = this query scans that inverted list
-    qsims = Q @ C.T  # (nq, n_lists)
-    probe = np.argpartition(-qsims, nprobe - 1, axis=1)[:, :nprobe]
-    probe_mask = np.zeros((len(qids), n_lists), dtype=bool)
-    np.put_along_axis(probe_mask, probe, True, axis=1)
-    bref = ray.put((qids, Q, C, probe_mask))
-
-    def local(batch: pa.Table) -> pa.Table:
-        g_qids, g_Q, g_C, g_mask = ray.get(bref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        V = _normalize(np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64))
-        lists = np.argmax(V @ g_C.T, axis=1)  # coarse assignment per row
-        cand_mask = g_mask[:, lists]  # (nq, batch)
-        if not cand_mask.any():
-            return _empty_partials()
-        sims = g_Q @ V.T
-        out_q, out_v, out_s = [], [], []
-        for qi, qid in enumerate(g_qids):
-            cand = np.flatnonzero(cand_mask[qi])
-            if cand.size == 0:
-                continue
-            s = sims[qi, cand]
-            kk = min(k, cand.size)
-            part = np.argpartition(-s, kk - 1)[:kk]
-            out_q.append(np.full(kk, qid, np.int64))
-            out_v.append(ids[cand[part]])
-            out_s.append(s[part])
-        if not out_q:
-            return _empty_partials()
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "cosine_raw": pa.array(np.concatenate(out_s), pa.float64()),
-            }
-        )
-
-    return _reduce_topk(ds.map_batches(local, batch_format="pyarrow"), k)
-
-
-def _empty_partials() -> pa.Table:
-    return pa.table(
-        {"query_id": pa.array([], pa.int64()), "vec_id": pa.array([], pa.int64()),
-         "cosine_raw": pa.array([], pa.float64())}
-    )
+    _X, C = _train_ivf(ds, vec_col, n_lists, sample_n, seed, train_iters)
+    listed = ds.map_batches(_assign_lists, fn_args=(ray.put(C), vec_col),
+                            batch_format="pyarrow")
+    return _ivf_scan(listed, Q, query_ids, _probe_mask(Q, C, nprobe), k,
+                     vec_col, id_col)
 
 
 class _LshIndexStage:
@@ -312,73 +378,135 @@ def knn_lsh(
     the query's bucket or is within ``multiprobe`` bit flips of it
     (classic multi-table multiprobe LSH).  Same output schema as knn_brute;
     recall < 1 by design — tests pin it against the brute operator."""
-    import ray
+    from itertools import combinations
 
+    if multiprobe > 2:
+        raise ValueError(
+            f"knn_lsh: multiprobe={multiprobe} is not implemented "
+            "(at most 2 bit flips)")
+    flips = [0]
+    if multiprobe >= 1:
+        flips += [1 << b for b in range(n_planes)]
+    if multiprobe >= 2:
+        flips += [(1 << i) | (1 << j)
+                  for i, j in combinations(range(n_planes), 2)]
     Q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    dim = Q.shape[1]
-    stages = [_LshIndexStage(n_planes, dim, seed + t) for t in range(n_tables)]
-    qkeys = np.stack([st.key_of(Q) for st in stages])  # (T, nq)
-    qref = ray.put((qids, Q, qkeys))
+    stages = [_LshIndexStage(n_planes, Q.shape[1], seed + t)
+              for t in range(n_tables)]
+    qkeys = [st.key_of(Q) for st in stages]
 
-    def local(batch: pa.Table) -> pa.Table:
-        g_qids, g_Q, g_qkeys = ray.get(qref)
-        sts = [_LshIndexStage(n_planes, dim, seed + t) for t in range(n_tables)]
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        V = _normalize(np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64))
-        keys = np.stack([st.key_of(V) for st in sts])  # (T, batch)
-        # candidate mask per (query, row): any table bucket within <=multiprobe flips
-        nq = len(g_qids)
-        cand_mask = np.zeros((nq, len(ids)), dtype=bool)
-        flips = [np.uint64(0)]
-        if multiprobe >= 1:
-            flips += [np.uint64(1 << b) for b in range(n_planes)]
-        if multiprobe >= 2:
-            from itertools import combinations
-
-            flips += [np.uint64((1 << i) | (1 << j))
-                      for i, j in combinations(range(n_planes), 2)]
-        if multiprobe >= 3:
-            raise ValueError("multiprobe > 2 is not implemented")
-        for t in range(n_tables):
+    def score(batch: pa.Table, Q, stages, qkeys, flips):
+        V = _unit_rows(batch, vec_col)
+        # candidate per (query, row): any table bucket within <=multiprobe flips
+        mask = np.zeros((len(Q), len(V)), dtype=bool)
+        for st, qk in zip(stages, qkeys):
+            keys = st.key_of(V)
             for f in flips:
-                cand_mask |= g_qkeys[t][:, None] == (keys[t][None, :] ^ f)
-        if not cand_mask.any():
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()), "vec_id": pa.array([], pa.int64()),
-                 "cosine_raw": pa.array([], pa.float64())}
-            )
-        sims = g_Q @ V.T
-        out_q, out_v, out_s = [], [], []
-        for qi, qid in enumerate(g_qids):
-            cand = np.flatnonzero(cand_mask[qi])
-            if cand.size == 0:
-                continue
-            s = sims[qi, cand]
-            kk = min(k, cand.size)
-            part = np.argpartition(-s, kk - 1)[:kk]
-            out_q.append(np.full(kk, qid, np.int64))
-            out_v.append(ids[cand[part]])
-            out_s.append(s[part])
-        if not out_q:
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()), "vec_id": pa.array([], pa.int64()),
-                 "cosine_raw": pa.array([], pa.float64())}
-            )
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "cosine_raw": pa.array(np.concatenate(out_s), pa.float64()),
-            }
-        )
+                mask |= qk[:, None] == (keys[None, :] ^ f)
+        if not mask.any():
+            return None
+        return Q @ V.T, mask
 
-    return _reduce_topk(ds.map_batches(local, batch_format="pyarrow"), k)
+    return _knn_scan(ds, query_ids, k, id_col, score,
+                     (Q, stages, qkeys, np.array(flips, dtype=np.uint64)))
 
 
 # --------------------------------------------------------------------------- #
-# persisted IVF index (read-pruned scans)
+# persisted IVF / IVF-PQ indexes (read-pruned scans)
 # --------------------------------------------------------------------------- #
+def _skip_if_current(out_dir: str, eff_fp: str):
+    """The skipped-build result when ``meta.json`` and EVERY committed
+    partition at ``out_dir`` already carry the effective fingerprint
+    ``eff_fp`` (the index is current: skip the corpus pass), else None."""
+    import glob
+    import json
+
+    from .checkpoint import MANIFEST
+
+    try:
+        with open(os.path.join(out_dir, "meta.json")) as f:
+            meta = json.load(f)
+        if meta.get("fingerprint") != eff_fp:
+            return None
+        manifests = glob.glob(
+            os.path.join(out_dir, "part=" + "[0-9]" * 5, MANIFEST))
+        if manifests and all(json.load(open(m)).get("fingerprint") == eff_fp
+                             for m in manifests):
+            return {"n_lists": meta["n_lists"], "n_rows": None,
+                    "out_dir": out_dir, "skipped": True}
+    except (OSError, ValueError):
+        pass  # missing or unreadable state: rebuild
+    return None
+
+
+def _write_index(rows, out_dir: str, meta: dict, seed: int) -> dict:
+    """Commit an index whose ``rows`` carry ``list_id``: one ``part=K`` dir
+    per inverted list (atomic tmp+rename commit via the checkpoint writer),
+    then ``meta`` with an atomic replace — LAST, so a crash in between is
+    caught by :func:`_open_index`'s cross-check."""
+    import json
+
+    from .checkpoint import _PartWriter, sweep_foreign_parts
+
+    fp, n_lists = meta["fingerprint"], meta["n_lists"]
+    os.makedirs(out_dir, exist_ok=True)
+    written = (
+        rows.map_batches(lambda b: b.append_column("__part", b["list_id"]),
+                         batch_format="pyarrow")
+        .groupby("__part")
+        .map_groups(_PartWriter(out_dir, fp, n_lists, seed),
+                    batch_format="pyarrow")
+        .to_pandas()
+    )
+    # a rebuild over a CHANGED corpus can leave a list empty this run; its
+    # stale partition from the previous corpus must not be readable
+    sweep_foreign_parts(out_dir, fp, n_lists, seed)
+    tmp = os.path.join(out_dir, f"meta.json.tmp-{os.getpid()}")
+    with open(tmp, "w") as f:
+        json.dump(meta, f)
+    os.replace(tmp, os.path.join(out_dir, "meta.json"))
+    return {"n_lists": n_lists, "n_rows": int(written["n_rows"].sum()),
+            "out_dir": out_dir}
+
+
+def _open_index(index_dir: str, queries: np.ndarray, nprobe: int):
+    """Open a persisted IVF / IVF-PQ index for one query wave: returns
+    ``(meta, unit queries, probe mask, files)`` where ``files`` are the
+    data files of the probed lists only (the other partitions' bytes never
+    leave storage), each cross-checked against ``meta.json``."""
+    import json
+
+    with open(os.path.join(index_dir, "meta.json")) as f:
+        meta = json.load(f)
+    Q = _normalize(np.asarray(queries, dtype=np.float64))
+    probe = _probe_mask(
+        Q, np.asarray(meta["centroids"], dtype=np.float64), nprobe)
+    files = []
+    for l in np.flatnonzero(probe.any(axis=0)).tolist():
+        pdir = os.path.join(index_dir, f"part={l:05d}")
+        fpath = os.path.join(pdir, "data.parquet")
+        if not os.path.exists(fpath):
+            continue
+        # cross-check: a build that crashed between the partition commits
+        # and the atomic meta.json replace leaves centroids from one build
+        # and list assignments from another — refuse to serve that mix
+        try:
+            with open(os.path.join(pdir, "manifest.json")) as mf:
+                pfp = json.load(mf).get("fingerprint")
+        except (OSError, ValueError):
+            pfp = None
+        if pfp != meta.get("fingerprint"):
+            kind = "IVF-PQ" if meta.get("kind") == "ivfpq" else "IVF"
+            raise ValueError(
+                f"{kind} index {index_dir} is inconsistent: partition {l} "
+                f"has fingerprint {pfp!r} but meta.json has "
+                f"{meta.get('fingerprint')!r} — rebuild the index "
+                "(a prior build likely crashed before committing meta.json)"
+            )
+        files.append(fpath)
+    return meta, Q, probe, files
+
+
 def build_ivf_index(
     ds,
     out_dir: str,
@@ -399,12 +527,7 @@ def build_ivf_index(
     Same trainer as :func:`knn_ivf` (spherical k-means on a bounded
     driver-side sample), so an in-memory and a persisted index built with
     the same (ds, seed, sample_n) agree exactly."""
-    import glob as _glob
-    import json as _json
-
     import ray
-
-    from .checkpoint import MANIFEST, _PartWriter
 
     # the EFFECTIVE fingerprint folds every trainer knob in: a rebuild with
     # different sample_n/train_iters/n_lists must invalidate the partitions
@@ -413,73 +536,21 @@ def build_ivf_index(
     eff_fp = (
         f"{fingerprint}|ivf:nl={n_lists}:sn={sample_n}:ti={train_iters}:sd={seed}"
     )
+    skipped = _skip_if_current(out_dir, eff_fp)
+    if skipped is not None:
+        return skipped
 
-    # early-exit: if meta and EVERY committed partition already carry this
-    # effective fingerprint, the index is current — skip the corpus pass
-    meta_path = os.path.join(out_dir, "meta.json")
-    if os.path.exists(meta_path):
-        try:
-            with open(meta_path) as f:
-                old = _json.load(f)
-            if old.get("fingerprint") == eff_fp:
-                manifests = _glob.glob(
-                    os.path.join(out_dir, "part=" + "[0-9]" * 5, MANIFEST))
-                ok = all(
-                    _json.load(open(m)).get("fingerprint") == eff_fp
-                    for m in manifests
-                )
-                if ok and manifests:
-                    return {"n_lists": old["n_lists"],
-                            "n_rows": None, "out_dir": out_dir,
-                            "skipped": True}
-        except (OSError, ValueError):
-            pass  # unreadable state: rebuild
-
-    sample = ds.select_columns([vec_col]).limit(sample_n).take_all()
-    X = _normalize(np.stack([r[vec_col] for r in sample]).astype(np.float64))
-    C = _spherical_kmeans(X, n_lists, seed, train_iters)
-    n_lists = len(C)
-    cref = ray.put(C)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        g_C = ray.get(cref)
-        V = _normalize(
-            np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
-        )
-        lists = np.argmax(V @ g_C.T, axis=1).astype(np.int32)
-        out = batch.append_column("list_id", pa.array(lists, pa.int32()))
-        return out.append_column("__part", pa.array(lists, pa.int32()))
-
-    os.makedirs(out_dir, exist_ok=True)
-    rows = (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(_PartWriter(out_dir, eff_fp, n_lists, seed),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
-    from .checkpoint import sweep_foreign_parts
-
-    # a rebuild over a CHANGED corpus can leave a list empty this run; its
-    # stale partition from the previous corpus must not be readable
-    sweep_foreign_parts(out_dir, eff_fp, n_lists, seed)
-
+    _X, C = _train_ivf(ds, vec_col, n_lists, sample_n, seed, train_iters)
+    listed = ds.map_batches(_assign_lists, fn_args=(ray.put(C), vec_col),
+                            batch_format="pyarrow")
     meta = {
-        "n_lists": int(n_lists),
+        "n_lists": len(C),
         "vec_col": vec_col,
         "id_col": id_col,
         "fingerprint": eff_fp,
         "centroids": C.tolist(),
     }
-    tmp = os.path.join(out_dir, f"meta.json.tmp-{os.getpid()}")
-    with open(tmp, "w") as f:
-        _json.dump(meta, f)
-    os.replace(tmp, os.path.join(out_dir, "meta.json"))
-    return {
-        "n_lists": int(n_lists),
-        "n_rows": int(rows["n_rows"].sum()),
-        "out_dir": out_dir,
-    }
+    return _write_index(listed, out_dir, meta, seed)
 
 
 def knn_ivf_query(
@@ -493,94 +564,17 @@ def knn_ivf_query(
     list partitions is READ (the other partitions' bytes never leave
     storage — this is the point of the layout).  ``nprobe >= n_lists``
     reproduces brute force exactly."""
-    import json as _json
-
-    import ray
     import ray.data as rd
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = _json.load(f)
-    C = np.asarray(meta["centroids"], dtype=np.float64)
-    n_lists, vec_col, id_col = meta["n_lists"], meta["vec_col"], meta["id_col"]
-
-    Q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    nprobe = min(nprobe, n_lists)
-    qsims = Q @ C.T
-    probe = np.argpartition(-qsims, nprobe - 1, axis=1)[:, :nprobe]
-    probe_mask = np.zeros((len(qids), n_lists), dtype=bool)
-    np.put_along_axis(probe_mask, probe, True, axis=1)
-    needed = sorted(int(l) for l in np.unique(probe))
-
-    files = []
-    for l in needed:
-        pdir = os.path.join(index_dir, f"part={l:05d}")
-        f = os.path.join(pdir, "data.parquet")
-        if not os.path.exists(f):
-            continue
-        # cross-check: a build that crashed between the partition commits
-        # and the atomic meta.json replace leaves centroids from one build
-        # and list assignments from another — refuse to serve that mix
-        mpath = os.path.join(pdir, "manifest.json")
-        try:
-            with open(mpath) as mf:
-                pfp = _json.load(mf).get("fingerprint")
-        except (OSError, ValueError):
-            pfp = None
-        if pfp != meta.get("fingerprint"):
-            raise ValueError(
-                f"IVF index {index_dir} is inconsistent: partition {l} has "
-                f"fingerprint {pfp!r} but meta.json has "
-                f"{meta.get('fingerprint')!r} — rebuild the index "
-                "(a prior build likely crashed before committing meta.json)"
-            )
-        files.append(f)
+    meta, Q, probe, files = _open_index(index_dir, queries, nprobe)
     if not files:
         return _empty_result()
-    bref = ray.put((qids, Q, probe_mask))
-
-    def local(batch: pa.Table) -> pa.Table:
-        g_qids, g_Q, g_mask = ray.get(bref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        V = _normalize(
-            np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
-        )
-        lists = batch["list_id"].to_numpy(zero_copy_only=False)
-        cand_mask = g_mask[:, lists]
-        if not cand_mask.any():
-            return _empty_partials()
-        sims = g_Q @ V.T
-        out_q, out_v, out_s = [], [], []
-        for qi, qid in enumerate(g_qids):
-            cand = np.flatnonzero(cand_mask[qi])
-            if cand.size == 0:
-                continue
-            s = sims[qi, cand]
-            kk = min(k, cand.size)
-            part = np.argpartition(-s, kk - 1)[:kk]
-            out_q.append(np.full(kk, qid, np.int64))
-            out_v.append(ids[cand[part]])
-            out_s.append(s[part])
-        if not out_q:
-            return _empty_partials()
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "cosine_raw": pa.array(np.concatenate(out_s), pa.float64()),
-            }
-        )
-
-    return _reduce_topk(
-        rd.read_parquet(files, columns=[id_col, vec_col, "list_id"])
-        .map_batches(local, batch_format="pyarrow"),
-        k,
-    )
+    vec_col, id_col = meta["vec_col"], meta["id_col"]
+    return _ivf_scan(
+        rd.read_parquet(files, columns=[id_col, vec_col, "list_id"]),
+        Q, query_ids, probe, k, vec_col, id_col)
 
 
-# --------------------------------------------------------------------------- #
-# persisted IVF-PQ index (product-quantized codes: the 100 TB memory path)
-# --------------------------------------------------------------------------- #
 def _kmeans(X: np.ndarray, k: int, seed: int, iters: int) -> np.ndarray:
     """Deterministic Lloyd k-means (Euclidean) on a bounded sample; empty
     clusters keep their previous centroid; ties in assignment break to the
@@ -643,12 +637,7 @@ def build_pq_index(
     pass.  Same fingerprint/manifest/atomic-commit contract as the IVF
     index (resume skips committed partitions; a crash between partition
     and meta commits is detected at query time)."""
-    import glob as _glob
-    import json as _json
-
     import ray
-
-    from .checkpoint import MANIFEST, _PartWriter, sweep_foreign_parts
 
     if pq_ks > 256:
         raise ValueError("pq_ks must fit a uint8 code (<= 256)")
@@ -656,32 +645,15 @@ def build_pq_index(
         f"{fingerprint}|ivfpq:nl={n_lists}:m={pq_m}:ks={pq_ks}"
         f":sn={sample_n}:ti={train_iters}:sd={seed}"
     )
-    meta_path = os.path.join(out_dir, "meta.json")
-    if os.path.exists(meta_path):
-        try:
-            with open(meta_path) as f:
-                old = _json.load(f)
-            if old.get("fingerprint") == eff_fp:
-                manifests = _glob.glob(
-                    os.path.join(out_dir, "part=" + "[0-9]" * 5, MANIFEST))
-                ok = all(
-                    _json.load(open(m)).get("fingerprint") == eff_fp
-                    for m in manifests
-                )
-                if ok and manifests:
-                    return {"n_lists": old["n_lists"], "n_rows": None,
-                            "out_dir": out_dir, "skipped": True}
-        except (OSError, ValueError):
-            pass
+    skipped = _skip_if_current(out_dir, eff_fp)
+    if skipped is not None:
+        return skipped
 
-    sample = ds.select_columns([vec_col]).limit(sample_n).take_all()
-    X = _normalize(np.stack([r[vec_col] for r in sample]).astype(np.float64))
+    X, C = _train_ivf(ds, vec_col, n_lists, sample_n, seed, train_iters)
     dim = X.shape[1]
     if dim % pq_m:
         raise ValueError(f"pq_m={pq_m} must divide dim={dim}")
     dsub = dim // pq_m
-    C = _spherical_kmeans(X, n_lists, seed, train_iters)
-    n_lists = len(C)
     books = np.stack([
         _kmeans(X[:, m * dsub: (m + 1) * dsub], pq_ks, seed + 1 + m,
                 train_iters)
@@ -689,33 +661,20 @@ def build_pq_index(
     ])  # (M, ks', dsub) — ks' may shrink on tiny samples
     bref = ray.put((C, books))
 
-    def assign(batch: pa.Table) -> pa.Table:
+    def encode(batch: pa.Table) -> pa.Table:
         g_C, g_books = ray.get(bref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        V = _normalize(
-            np.stack(batch[vec_col].to_numpy(zero_copy_only=False)).astype(np.float64)
-        )
-        lists = np.argmax(V @ g_C.T, axis=1).astype(np.int32)
-        codes = _pq_encode(V, g_books)
+        V = _unit_rows(batch, vec_col)
         return pa.table({
-            id_col: pa.array(ids, pa.int64()),
-            "list_id": pa.array(lists, pa.int32()),
-            "codes": pa.array(list(codes), pa.list_(pa.uint8(), pq_m)),
-            "__part": pa.array(lists, pa.int32()),
+            id_col: pa.array(batch[id_col].to_numpy(zero_copy_only=False)
+                             .astype(np.int64), pa.int64()),
+            "list_id": pa.array(_list_ids(V, g_C), pa.int32()),
+            "codes": pa.array(list(_pq_encode(V, g_books)),
+                              pa.list_(pa.uint8(), pq_m)),
         })
 
-    os.makedirs(out_dir, exist_ok=True)
-    rows = (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(_PartWriter(out_dir, eff_fp, n_lists, seed),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
-    sweep_foreign_parts(out_dir, eff_fp, n_lists, seed)
     meta = {
         "kind": "ivfpq",
-        "n_lists": int(n_lists),
+        "n_lists": len(C),
         "pq_m": int(pq_m),
         "vec_col": vec_col,
         "id_col": id_col,
@@ -723,12 +682,8 @@ def build_pq_index(
         "centroids": C.tolist(),
         "codebooks": books.tolist(),
     }
-    tmp = os.path.join(out_dir, f"meta.json.tmp-{os.getpid()}")
-    with open(tmp, "w") as f:
-        _json.dump(meta, f)
-    os.replace(tmp, os.path.join(out_dir, "meta.json"))
-    return {"n_lists": int(n_lists), "n_rows": int(rows["n_rows"].sum()),
-            "out_dir": out_dir}
+    return _write_index(ds.map_batches(encode, batch_format="pyarrow"),
+                        out_dir, meta, seed)
 
 
 def knn_pq_query(
@@ -745,97 +700,33 @@ def knn_pq_query(
     asymmetric-distance trick from the PQ paper.  Approximate by
     construction (quantization error + nprobe recall) — tests pin recall
     against :func:`knn_brute`."""
-    import json as _json
-
-    import ray
     import ray.data as rd
 
-    with open(os.path.join(index_dir, "meta.json")) as f:
-        meta = _json.load(f)
-    C = np.asarray(meta["centroids"], dtype=np.float64)
+    meta, Q, probe, files = _open_index(index_dir, queries, nprobe)
+    if not files:
+        return _empty_result()
     books = np.asarray(meta["codebooks"], dtype=np.float64)
-    n_lists, id_col = meta["n_lists"], meta["id_col"]
-    M = books.shape[0]
-    dsub = books.shape[2]
-
-    Q = _normalize(np.asarray(queries, dtype=np.float64))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    nprobe = min(nprobe, n_lists)
-    qsims = Q @ C.T
-    probe = np.argpartition(-qsims, nprobe - 1, axis=1)[:, :nprobe]
-    probe_mask = np.zeros((len(qids), n_lists), dtype=bool)
-    np.put_along_axis(probe_mask, probe, True, axis=1)
-    needed = sorted(int(l) for l in np.unique(probe))
+    M, dsub = books.shape[0], books.shape[2]
     # per-query ADC tables: LUT[q, m, j] = Q_m . cb[m][j]
     LUT = np.stack([
         Q[:, m * dsub: (m + 1) * dsub] @ books[m].T for m in range(M)
     ], axis=1)  # (nq, M, ks)
 
-    files = []
-    for l in needed:
-        pdir = os.path.join(index_dir, f"part={l:05d}")
-        fpath = os.path.join(pdir, "data.parquet")
-        if not os.path.exists(fpath):
-            continue
-        try:
-            with open(os.path.join(pdir, "manifest.json")) as mf:
-                pfp = _json.load(mf).get("fingerprint")
-        except (OSError, ValueError):
-            pfp = None
-        if pfp != meta.get("fingerprint"):
-            raise ValueError(
-                f"IVF-PQ index {index_dir} is inconsistent: partition {l} "
-                f"has fingerprint {pfp!r} but meta.json has "
-                f"{meta.get('fingerprint')!r} — rebuild the index"
-            )
-        files.append(fpath)
-    if not files:
-        return _empty_result()
-    bref = ray.put((qids, LUT, probe_mask))
-
-    def local(batch: pa.Table) -> pa.Table:
-        g_qids, g_LUT, g_mask = ray.get(bref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        codes_col = batch["codes"]
-        if isinstance(codes_col, pa.ChunkedArray):
-            codes_col = codes_col.combine_chunks()
-        codes = np.asarray(
-            codes_col.flatten().to_numpy(zero_copy_only=False), np.int64
-        ).reshape(-1, M)
-        lists = batch["list_id"].to_numpy(zero_copy_only=False)
-        cand_mask = g_mask[:, lists]
-        if not cand_mask.any():
-            return _empty_partials()
+    def score(batch: pa.Table, LUT: np.ndarray, probe: np.ndarray):
+        mask = _probed(batch, probe)
+        if mask is None:
+            return None
+        codes = np.asarray(_flat_values(batch, "codes"), np.int64).reshape(-1, M)
         # ADC: one gather-add per subspace, vectorized over (nq, batch)
-        sims = np.zeros((len(g_qids), len(ids)), np.float64)
+        sims = np.zeros((len(LUT), len(codes)), np.float64)
         for m in range(M):
-            sims += g_LUT[:, m, :][:, codes[:, m]]
-        out_q, out_v, out_s = [], [], []
-        for qi, qid in enumerate(g_qids):
-            cand = np.flatnonzero(cand_mask[qi])
-            if cand.size == 0:
-                continue
-            s = sims[qi, cand]
-            kk = min(k, cand.size)
-            part = np.argpartition(-s, kk - 1)[:kk]
-            out_q.append(np.full(kk, qid, np.int64))
-            out_v.append(ids[cand[part]])
-            out_s.append(s[part])
-        if not out_q:
-            return _empty_partials()
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "cosine_raw": pa.array(np.concatenate(out_s), pa.float64()),
-            }
-        )
+            sims += LUT[:, m, :][:, codes[:, m]]
+        return sims, mask
 
-    return _reduce_topk(
-        rd.read_parquet(files, columns=[id_col, "codes", "list_id"])
-        .map_batches(local, batch_format="pyarrow"),
-        k,
-    )
+    id_col = meta["id_col"]
+    return _knn_scan(
+        rd.read_parquet(files, columns=[id_col, "codes", "list_id"]),
+        query_ids, k, id_col, score, (LUT, probe))
 
 
 # --------------------------------------------------------------------------- #
@@ -892,8 +783,7 @@ def kmeans_fit(
     exact recovery on separated blobs and sample-vs-full agreement."""
     import ray
 
-    sample = ds.select_columns([vec_col]).limit(sample_n).take_all()
-    X = np.stack([r[vec_col] for r in sample]).astype(np.float64)
+    X = _sample_rows(ds, vec_col, sample_n)
     if spherical:
         X = _normalize(X)
     k = min(k, len(X))
@@ -1137,62 +1027,14 @@ def knn_int8(
     4x-smaller-scan coarse ranker and re-rank survivors in float when
     the corpus is that dense.
 
-    Scale shape: one streaming scale pass, then the classic broadcast
-    brute scan — quantized query matrix ``ray.put`` once, one matmul per
-    batch (int8 codes lifted to float64: products <= 127^2 * d stay exact
-    integers in doubles for d < 5e8), per-batch top-k partials, the same
-    size-gated final reduce as :func:`knn_brute`."""
-    import ray
-
-    if scales is None:
-        scales = embedding_scales(ds, vec_col=vec_col)
-    Q = np.asarray(queries, dtype=np.float64)
-    QC = quantize_batch(Q, scales).astype(np.float64)
-    qids = np.asarray(query_ids, dtype=np.int64)
-    qref = ray.put((qids, QC, np.asarray(scales, np.float64)))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        g_qids, g_QC, g_s = ray.get(qref)
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "vec_id": pa.array([], pa.int64()),
-                             "cosine_raw": pa.array([], pa.float64())})
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        V = np.stack(batch[vec_col].to_numpy(zero_copy_only=False))
-        # integer dots tie OFTEN (unlike float cosines), so the local
-        # partial must honor the full (dot desc, vec_id asc) order or a
-        # tied smaller-id candidate could be dropped before the global
-        # reduce: sort the batch by vec_id once, then a STABLE argsort on
-        # -dot keeps ties in ascending-id order.
-        order_v = np.argsort(ids, kind="stable")
-        ids = ids[order_v]
-        C = quantize_batch(V[order_v], g_s).astype(np.float64)
-        dots = g_QC @ C.T  # exact integer values in float64
-        kk = min(k, dots.shape[1])
-        part = np.argsort(-dots, axis=1, kind="stable")[:, :kk]
-        rq = np.repeat(g_qids, kk)
-        rv = ids[part.ravel()]
-        rs = np.take_along_axis(dots, part, axis=1).ravel()
-        return pa.table(
-            {
-                "query_id": pa.array(rq, pa.int64()),
-                "vec_id": pa.array(rv, pa.int64()),
-                "cosine_raw": pa.array(rs, pa.float64()),
-            }
-        )
-
-    t = _reduce_topk(ds.map_batches(local_topk, batch_format="pyarrow"), k)
-    # the reduce's 6dp rounding is identity on integer-valued doubles
-    # (|dot| <= 127^2 * d < 2^53 / 1e6 for d <= ~550k dims)
-    dot = t["cosine"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return pa.table(
-        {
-            "query_id": t["query_id"],
-            "vec_id": t["vec_id"],
-            "dot_q": pa.array(dot, pa.int64()),
-            "rank": t["rank"],
-        }
-    )
+    Scale shape: one streaming scale pass (skipped when ``scales`` is
+    given), then :func:`quantize_embeddings` feeding
+    :func:`knn_int8_codes` — the map-only encode fuses into the code scan,
+    so the corpus still streams once past the broadcast query codes."""
+    codes_ds, scales = quantize_embeddings(ds, vec_col=vec_col,
+                                           id_col=id_col, scales=scales)
+    return knn_int8_codes(codes_ds, queries, scales, query_ids=query_ids,
+                          k=k, id_col=id_col)
 
 
 def knn_int8_codes(
@@ -1216,10 +1058,9 @@ def knn_int8_codes(
     on the original float corpus (pinned by pytest).
 
     Same scale shape as the brute scan: query codes broadcast once, one
-    integer matmul per batch, tie-exact (dot desc, id asc) local
-    partials, size-gated final reduce."""
-    import ray
-
+    integer matmul per batch (int8 codes lifted to float64: products
+    <= 127^2 * d stay exact integers in doubles for d < 5e8), tie-exact
+    (dot desc, id asc) local partials, size-gated final reduce."""
     Q = np.asarray(queries, dtype=np.float64)
     scales = np.asarray(scales, np.float64)
     if scales.shape != (Q.shape[1],):
@@ -1228,47 +1069,21 @@ def knn_int8_codes(
             f"queries have dimension {Q.shape[1]}")
     if query_ids is None:
         query_ids = np.arange(len(Q))
-    qids = np.asarray(query_ids, dtype=np.int64)
-    QC = quantize_batch(Q, scales).astype(np.float64)
-    qref = ray.put((qids, QC))
+    d = Q.shape[1]
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        g_qids, g_QC = ray.get(qref)
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "vec_id": pa.array([], pa.int64()),
-                             "cosine_raw": pa.array([], pa.float64())})
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        col = batch[code_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        # zero-copy int8 matrix from the list column's flat values buffer
-        n, d = batch.num_rows, g_QC.shape[1]
-        flat = col.flatten()
+    def score(batch: pa.Table, QC: np.ndarray):
+        n, flat = batch.num_rows, _flat_values(batch, code_col)
         if len(flat) != n * d:
             raise ValueError(
                 f"knn_int8_codes: {n} code rows hold {len(flat)} values, not "
                 f"{n} x {d} (the query dimension)")
         C = np.asarray(flat, dtype=np.int8).reshape(n, d).astype(np.float64)
-        order_v = np.argsort(ids, kind="stable")
-        ids = ids[order_v]
-        C = C[order_v]
-        dots = g_QC @ C.T
-        kk = min(k, dots.shape[1])
-        part = np.argsort(-dots, axis=1, kind="stable")[:, :kk]
-        rq = np.repeat(g_qids, kk)
-        rv = ids[part.ravel()]
-        rs = np.take_along_axis(dots, part, axis=1).ravel()
-        return pa.table(
-            {
-                "query_id": pa.array(rq, pa.int64()),
-                "vec_id": pa.array(rv, pa.int64()),
-                "cosine_raw": pa.array(rs, pa.float64()),
-            }
-        )
+        return QC @ C.T, None  # exact integer values in float64
 
-    t = _reduce_topk(
-        codes_ds.map_batches(local_topk, batch_format="pyarrow"), k)
+    QC = quantize_batch(Q, scales).astype(np.float64)
+    t = _knn_scan(codes_ds, query_ids, k, id_col, score, (QC,))
+    # the reduce's 6dp rounding is identity on integer-valued doubles
+    # (|dot| <= 127^2 * d < 2^53 / 1e6 for d <= ~550k dims)
     dot = t["cosine"].to_numpy(zero_copy_only=False).astype(np.int64)
     return pa.table(
         {
