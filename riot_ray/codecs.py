@@ -79,19 +79,3 @@ def delta_decode_blocks(deltas: np.ndarray, n: np.ndarray) -> np.ndarray:
     np.cumsum(d, dtype=np.uint64, out=run[1:])
     n = np.asarray(n, dtype=np.int64)
     return run[1:] - np.repeat(run[np.cumsum(n) - n], n)
-
-
-def encode_f32(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f4").tobytes()
-
-
-def decode_f32(buf: bytes) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<f4")
-
-
-def encode_i32(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<i4").tobytes()
-
-
-def decode_i32(buf: bytes) -> np.ndarray:
-    return np.frombuffer(buf, dtype="<i4")

@@ -253,10 +253,6 @@ META_TERM = "\x00"
 PART_SHIFT = 40
 
 
-def doc_uid(part: int, seq: int) -> int:
-    return (part << PART_SHIFT) | seq
-
-
 def shard_of_part(part: int, num_parts: int, num_shards: int) -> int:
     """Contiguous mapping part -> query shard so each shard owns a contiguous
     doc-u64 range (this is what makes hot-term posting lists split into

@@ -771,8 +771,14 @@ def search_dataset(
     """Batch search: a Dataset with (query_id:int64, text:string) ->
     Dataset of (query_id, rank, doc_id, bm25).  Each actor holds the full
     index read-only; queries stream through the pool — the batch analog of
-    riot's query fan-out, inverted (queries move, index stays)."""
-    return queries_ds.map_batches(
+    riot's query fan-out, inverted (queries move, index stays).
+
+    The pool autoscales from 1 to ``concurrency`` actors, as every Ray Data
+    actor pool in riot_ray does.  The query table is materialized first:
+    a pool's first actor starts with the plan and holds its CPU, so on a
+    one-CPU cluster the tasks that read or repartition the queries would
+    never run."""
+    return queries_ds.materialize().map_batches(
         _BatchQueryStage,
         fn_constructor_kwargs={
             "index_dir": index_dir,
@@ -782,7 +788,7 @@ def search_dataset(
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=(1, concurrency),
     )
 
 

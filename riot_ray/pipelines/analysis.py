@@ -10,6 +10,8 @@ outputs are SQL-oracle-checkable (same contract as riot_ray.tokenize
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -139,7 +141,8 @@ def quality_score(ds, text_col: str = "text"):
 # language identification (marker-word heuristic)
 # --------------------------------------------------------------------------- #
 class LangId:
-    """Callable-class stage (actor pool): marker tables built once per actor.
+    """Callable stage; ``lang_id`` passes an instance, so it runs as Ray
+    tasks (``concurrency`` caps how many run at once, no actor pool).
 
     Scores each language by the fraction of tokens hitting its marker set;
     ties broken by language code order.  A real model would slot in behind
@@ -184,20 +187,54 @@ def lang_id(ds, text_col: str = "text", concurrency: int | None = None):
 
 def _group_sum_i64(idx: np.ndarray, weights: np.ndarray,
                    minlength: int) -> np.ndarray:
-    """Exact int64 grouped sum of ``weights`` per ``idx`` bucket (sort +
-    ``np.add.reduceat``).  Replaces ``np.bincount(..., weights=float64)``
-    wherever the summed magnitudes can pass 2**53 — float accumulation
-    would silently round there while the SQL oracle's BIGINT sum stays
-    exact (ADVICE r2: per-doc |logprob_micro| > 2^53)."""
-    out = np.zeros(minlength, np.int64)
+    """Exact int64 grouped sum of ``weights`` (rows, for a 2-D array) per
+    ``idx`` bucket (sort + ``np.add.reduceat``).  Replaces
+    ``np.bincount(..., weights=float64)`` wherever the summed magnitudes
+    can pass 2**53 — float accumulation would silently round there while
+    the SQL oracle's BIGINT sum stays exact (ADVICE r2: per-doc
+    |logprob_micro| > 2^53)."""
+    w = np.asarray(weights, np.int64)
+    out = np.zeros((minlength,) + w.shape[1:], np.int64)
     if len(idx) == 0:
         return out
-    w = np.asarray(weights, np.int64)
     order = np.argsort(idx, kind="stable")
     si, sw = idx[order], w[order]
     starts = np.flatnonzero(np.r_[True, si[1:] != si[:-1]])
-    out[si[starts]] = np.add.reduceat(sw, starts)
+    out[si[starts]] = np.add.reduceat(sw, starts, axis=0)
     return out
+
+
+def _doc_key_tf(parents: np.ndarray, keys: np.ndarray):
+    """The unique ``(parent, key)`` rows of an occurrence stream, sorted by
+    parent then key: ``(parents, keys, tf, first)`` with ``tf`` each row's
+    occurrence count and ``first`` the index of its first occurrence."""
+    order = np.lexsort((keys, parents))
+    ps, ks = parents[order], keys[order]
+    new = np.ones(len(order), bool)
+    new[1:] = (ps[1:] != ps[:-1]) | (ks[1:] != ks[:-1])
+    starts = np.flatnonzero(new)
+    tf = np.diff(np.append(starts, len(order))).astype(np.int64)
+    return ps[starts], ks[starts], tf, order[starts]
+
+
+def _token_tf(texts):
+    """Per-doc unique token rows of a text column: ``(parents, kh, tf,
+    first)`` as :func:`_doc_key_tf`, plus the flat token strings."""
+    flat, parents = _flatten_tokens(texts)
+    return (*_doc_key_tf(parents, u64(flat).view(np.int64)), flat)
+
+
+def _occ_table(id_col: str, ids, key: str, keys, tf, **extra) -> pa.Table:
+    """Occurrence rows ``(id_col, key, tf, *extra)`` for
+    :func:`riot_ray.pipelines.joins._score_per_doc`."""
+    return pa.table({id_col: pa.array(ids, pa.int64()),
+                     key: pa.array(keys, pa.int64()),
+                     "tf": pa.array(tf, pa.int64()), **extra})
+
+
+def _occ_schema(id_col: str, key: str, **extra) -> pa.Schema:
+    return pa.schema([(id_col, pa.int64()), (key, pa.int64()),
+                      ("tf", pa.int64()), *extra.items()])
 
 
 # --------------------------------------------------------------------------- #
@@ -246,10 +283,8 @@ def fingerprint_batch(
             # short docs (fewer than w k-grams) fall back to their global min
             has_win = np.zeros(n_rows, dtype=bool)
             has_win[sel_parent] = True
-            order = np.lexsort((sel_min, sel_parent))
-            sp, sm = sel_parent[order], sel_min[order]
-            dedup_mask = np.r_[True, (sp[1:] != sp[:-1]) | (sm[1:] != sm[:-1])]
-            for p, v in zip(sp[dedup_mask], sm[dedup_mask]):
+            sp, sm, _tf, _first = _doc_key_tf(sel_parent, sel_min)
+            for p, v in zip(sp, sm):
                 fps[p].append(int(v))
             # fallback mins for docs with k-grams but no full window
             for p in np.unique(kg_parent):
@@ -310,6 +345,52 @@ def unigram_counts(ds, text_col: str = "text"):
     )
 
 
+def _micro(num, den) -> np.ndarray:
+    """``floor(ln(num / den) * 1e6 + 0.5)`` as int64 micro-nats — both
+    sides cast to float64 first, so the double division matches the SQL
+    oracle's bit for bit."""
+    return np.floor(
+        np.log(np.asarray(num, np.float64) / np.asarray(den, np.float64))
+        * 1e6 + 0.5
+    ).astype(np.int64)
+
+
+def _token_occ(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    """Per-doc unique token rows ``(id_col, kh, tf)`` of one batch."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    ps, kh, tf, _first, _flat = _token_tf(batch[text_col])
+    return _occ_table(id_col, ids[ps], "kh", kh, tf)
+
+
+def _lm_reduce(ids, inv, rows: pa.Table, id_col: str, n_col: str) -> pa.Table:
+    """Per-doc LM score of occurrence rows carrying ``micro``:
+    ``(id_col, n_col, logprob_micro, logprob_mean)``."""
+    tf = rows["tf"].to_numpy()
+    n = _group_sum_i64(inv, tf, len(ids))
+    lp = _group_sum_i64(inv, tf * rows["micro"].to_numpy(), len(ids))
+    return pa.table({id_col: pa.array(ids, pa.int64()),
+                     n_col: pa.array(n, pa.int64()),
+                     "logprob_micro": pa.array(lp, pa.int64()),
+                     "logprob_mean": pa.array(lp / 1e6 / np.maximum(n, 1),
+                                              pa.float64())})
+
+
+def _lm_score(ds, occ, key: str, micro_ds, id_col: str, n_col: str):
+    """Per-doc LM scores of ``ds`` against a ``(key, micro)`` table, or the
+    empty result when the table is empty."""
+    import ray.data as rd
+
+    from .joins import _score_per_doc
+
+    reduce = partial(_lm_reduce, id_col=id_col, n_col=n_col)
+    micro_ds = micro_ds.materialize()
+    if not micro_ds.count():
+        e = np.empty(0, np.int64)
+        return rd.from_arrow(reduce(e, e, pa.table({"tf": e, "micro": e})))
+    return _score_per_doc(ds, occ, _occ_schema(id_col, key), micro_ds, key,
+                          reduce)
+
+
 def unigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Per-doc unigram-LM score over the corpus's OWN unigram distribution:
     ``(id_col, n_tokens, logprob_micro, logprob_mean)`` where each token
@@ -320,117 +401,19 @@ def unigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
     per token (perplexity = exp(-logprob_mean)).  Docs with no tokens drop
     out, matching the SQL occurrence join.
 
-    Scale shape: pass 1 = :func:`unigram_counts` (vocab-sized shuffle);
-    pass 2 re-streams the corpus with the micro table attached size-gated —
-    broadcast one sorted (kh, micro) pair per node when the vocab fits
-    ``BROADCAST_BYTES``, else per-doc (kh, tf) rows hash-join the micro
-    table and re-reduce per doc — per-doc state never centralizes."""
-    import ray
-
-    from .dedup import BROADCAST_BYTES, _hash_join, _join_parts
-
+    Pass 1 is :func:`unigram_counts` (a vocab-sized shuffle); pass 2 scores
+    per-doc ``(kh, tf)`` rows against the ``(kh, micro)`` table through
+    :func:`riot_ray.pipelines.joins._score_per_doc`."""
     counts = unigram_counts(ds, text_col=text_col).materialize()
-    n_total = counts.sum("cnt")
-    n_vocab = counts.count()
-    if not n_total:
-        import ray.data as rd
-
-        return rd.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            "n_tokens": pa.array([], pa.int64()),
-            "logprob_micro": pa.array([], pa.int64()),
-            "logprob_mean": pa.array([], pa.float64()),
-        }))
+    n_total = counts.sum("cnt") or 0
 
     def add_micro(batch: pa.Table) -> pa.Table:
-        cnt = batch["cnt"].to_numpy(zero_copy_only=False)
-        micro = np.floor(
-            np.log(cnt.astype(np.float64) / float(n_total)) * 1e6 + 0.5
-        ).astype(np.int64)
-        return pa.table({"kh": batch["kh"], "micro": pa.array(micro, pa.int64())})
+        return pa.table({"kh": batch["kh"], "micro": pa.array(
+            _micro(batch["cnt"].to_numpy(), n_total), pa.int64())})
 
-    micro_ds = counts.map_batches(add_micro, batch_format="pyarrow")
-
-    def finish(ids: np.ndarray, n_tok: np.ndarray, lp: np.ndarray) -> pa.Table:
-        mean = lp / 1e6 / np.maximum(n_tok, 1)
-        return pa.table({id_col: pa.array(ids, pa.int64()),
-                         "n_tokens": pa.array(n_tok, pa.int64()),
-                         "logprob_micro": pa.array(lp, pa.int64()),
-                         "logprob_mean": pa.array(mean, pa.float64())})
-
-    if n_vocab * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(micro_ds.materialize().to_arrow_refs()) if t.num_rows]
-        mt = pa.concat_tables(tabs).combine_chunks()
-        kh_all = mt["kh"].to_numpy(zero_copy_only=False)
-        order = np.argsort(kh_all)
-        ref = ray.put((kh_all[order],
-                       mt["micro"].to_numpy(zero_copy_only=False)[order]))
-
-        def score(batch: pa.Table) -> pa.Table:
-            kh_s, micro_s = ray.get(ref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            flat, parents = _flatten_tokens(batch[text_col])
-            kh = u64(flat).view(np.int64)
-            pos = np.searchsorted(kh_s, kh)  # every token is in the vocab
-            m = micro_s[pos]
-            n_rows = len(ids)
-            n_tok = np.bincount(parents, minlength=n_rows).astype(np.int64)
-            lp = _group_sum_i64(parents, m, n_rows)
-            keep = n_tok > 0
-            return finish(ids[keep], n_tok[keep], lp[keep])
-
-        return ds.map_batches(score, batch_format="pyarrow")
-
-    # vocab over the broadcast gate: explode per-doc unique (kh, tf) rows,
-    # join the micro table on kh, re-reduce per doc — two bounded shuffles
-    num_partitions = _join_parts(None)
-
-    def occ(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        flat, parents = _flatten_tokens(batch[text_col])
-        kh = u64(flat).view(np.int64)
-        order = np.lexsort((kh, parents))
-        ps, ks = parents[order], kh[order]
-        first = np.empty(len(order), bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (ps[1:] != ps[:-1]) | (ks[1:] != ks[:-1])
-        starts = np.flatnonzero(first)
-        tf = np.diff(np.append(starts, len(order)))
-        return pa.table({id_col: pa.array(ids[ps[starts]], pa.int64()),
-                         "kh": pa.array(ks[starts], pa.int64()),
-                         "tf": pa.array(tf.astype(np.int64), pa.int64())})
-
-    occ_ds = ds.map_batches(occ, batch_format="pyarrow")
-    occ_schema = pa.schema([(id_col, pa.int64()), ("kh", pa.int64()),
-                            ("tf", pa.int64())])
-    micro_schema = pa.schema([("kh", pa.int64()), ("micro", pa.int64())])
-    joined = _hash_join(occ_ds, micro_ds, "kh", "kh", {"micro": "micro"},
-                        num_partitions, left_schema=occ_schema,
-                        right_schema=micro_schema)
-
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        part = (ids.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__dpart", pa.array(part, pa.int32()))
-
-    def per_doc(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return finish(np.empty(0, np.int64), np.empty(0, np.int64),
-                          np.empty(0, np.int64))
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        tf = group["tf"].to_numpy(zero_copy_only=False)
-        m = group["micro"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(ids, return_inverse=True)
-        n_tok = _group_sum_i64(inv, tf, len(uniq))
-        lp = _group_sum_i64(inv, tf * m, len(uniq))
-        return finish(uniq, n_tok, lp)
-
-    return (
-        joined.map_batches(tag_doc, batch_format="pyarrow")
-        .groupby("__dpart")
-        .map_groups(per_doc, batch_format="pyarrow")
-    )
+    return _lm_score(ds, partial(_token_occ, id_col=id_col, text_col=text_col),
+                     "kh", counts.map_batches(add_micro, batch_format="pyarrow"),
+                     id_col, "n_tokens")
 
 
 def _bigram_stream(batch_texts):
@@ -448,6 +431,14 @@ def _bigram_stream(batch_texts):
     return kg, k1, parents[:-1][valid]
 
 
+def _bigram_occ(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    """Per-doc unique bigram rows ``(id_col, kg, tf)`` of one batch."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    kg, _k1, parents = _bigram_stream(batch[text_col])
+    ps, ks, tf, _first = _doc_key_tf(parents, kg)
+    return _occ_table(id_col, ids[ps], "kg", ks, tf)
+
+
 def bigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Per-doc bigram-LM score under the corpus's OWN bigram MLE:
     ``(id_col, n_bigrams, logprob_micro, logprob_mean)`` where each bigram
@@ -460,188 +451,42 @@ def bigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
     :func:`unigram_logprob` — conditional perplexity separates fluent text
     from word salad where unigram frequency cannot.
 
-    Scale shape: one corpus pass of per-batch-unique (kg, c) partials
-    (vocab²-bounded shuffle), prefix counts by a second SMALL groupby over
-    that table, then the same size-gated scoring as unigram: broadcast the
-    sorted (kg, micro) pairs under ``BROADCAST_BYTES``, else hash-join
-    per-doc (kg, tf) rows — per-doc state never centralizes."""
-    import ray
-
-    from .dedup import BROADCAST_BYTES, _hash_join, _join_parts
+    Pass 1 shuffles per-batch-unique (kg, k1, c) partials partitioned by
+    the prefix k1, so each group holds every bigram of its prefixes and
+    computes c12, c1 and the micro-nats locally; pass 2 scores per-doc
+    ``(kg, tf)`` rows through
+    :func:`riot_ray.pipelines.joins._score_per_doc`."""
+    from .dedup import _join_parts
 
     num_partitions = _join_parts(None)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial_counts(batch: pa.Table) -> pa.Table:
         kg, k1, _parents = _bigram_stream(batch[text_col])
-        order = np.argsort(kg)
-        kgs = kg[order]
-        first = np.r_[True, kgs[1:] != kgs[:-1]]
-        starts = np.flatnonzero(first)
-        cnt = np.diff(np.append(starts, len(kgs)))
-        part = (kgs[starts].view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({"kg": pa.array(kgs[starts], pa.int64()),
-                         "k1": pa.array(k1[order][starts], pa.int64()),
+        uk, first, cnt = np.unique(kg, return_index=True, return_counts=True)
+        k1 = k1[first]
+        part = (k1.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
+        return pa.table({"kg": pa.array(uk, pa.int64()),
+                         "k1": pa.array(k1, pa.int64()),
                          "c": pa.array(cnt.astype(np.int64), pa.int64()),
                          "__part": pa.array(part, pa.int32())})
 
-    def reduce_kg(group: pa.Table) -> pa.Table:
-        kg = group["kg"].to_numpy(zero_copy_only=False)
-        c = group["c"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(kg, return_inverse=True)
-        tot = np.bincount(inv, weights=c, minlength=len(uniq)).astype(np.int64)
-        first = np.zeros(len(uniq), np.int64)
-        first[inv[::-1]] = np.arange(len(kg) - 1, -1, -1)  # any row of each kg
-        k1 = group["k1"].to_numpy(zero_copy_only=False)[first]
-        return pa.table({"kg": pa.array(uniq, pa.int64()),
-                         "k1": pa.array(k1, pa.int64()),
-                         "c12": pa.array(tot, pa.int64())})
+    def micro_part(group: pa.Table) -> pa.Table:
+        kg = group["kg"].to_numpy()
+        uk, first, inv = np.unique(kg, return_index=True, return_inverse=True)
+        c12 = np.bincount(inv, weights=group["c"].to_numpy(),
+                          minlength=len(uk)).astype(np.int64)
+        _, inv1 = np.unique(group["k1"].to_numpy()[first], return_inverse=True)
+        c1 = np.bincount(inv1, weights=c12).astype(np.int64)
+        return pa.table({"kg": pa.array(uk, pa.int64()),
+                         "micro": pa.array(_micro(c12, c1[inv1]), pa.int64())})
 
-    cnt2 = (
-        ds.map_batches(partial, batch_format="pyarrow")
+    micro_ds = (
+        ds.map_batches(partial_counts, batch_format="pyarrow")
         .groupby("__part")
-        .map_groups(reduce_kg, batch_format="pyarrow")
-        .materialize()
+        .map_groups(micro_part, batch_format="pyarrow")
     )
-    n_bigram_types = cnt2.count()
-    if not n_bigram_types:
-        import ray.data as rd
-
-        return rd.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            "n_bigrams": pa.array([], pa.int64()),
-            "logprob_micro": pa.array([], pa.int64()),
-            "logprob_mean": pa.array([], pa.float64()),
-        }))
-
-    # prefix counts c1 = sum of c12 per k1 — a second groupby over the
-    # (small) distinct-bigram table, not over the corpus
-    def tag_k1(batch: pa.Table) -> pa.Table:
-        k1 = batch["k1"].to_numpy(zero_copy_only=False)
-        part = (k1.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({"k1": batch["k1"], "c12": batch["c12"],
-                         "__part": pa.array(part, pa.int32())})
-
-    def reduce_k1(group: pa.Table) -> pa.Table:
-        k1 = group["k1"].to_numpy(zero_copy_only=False)
-        c = group["c12"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(k1, return_inverse=True)
-        tot = np.bincount(inv, weights=c, minlength=len(uniq)).astype(np.int64)
-        return pa.table({"k1": pa.array(uniq, pa.int64()),
-                         "c1": pa.array(tot, pa.int64())})
-
-    cnt1 = (
-        cnt2.map_batches(tag_k1, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(reduce_k1, batch_format="pyarrow")
-    )
-
-    # micro(kg) = round(ln(c12/c1) * 1e6): attach c1 to cnt2 on k1,
-    # size-gated like every payload join in pipelines/
-    n_vocab = cnt1.count()
-
-    def _micro_table(batch: pa.Table) -> pa.Table:
-        c12 = batch["c12"].to_numpy(zero_copy_only=False)
-        c1 = batch["c1"].to_numpy(zero_copy_only=False)
-        micro = np.floor(
-            np.log(c12.astype(np.float64) / c1.astype(np.float64)) * 1e6 + 0.5
-        ).astype(np.int64)
-        return pa.table({"kg": batch["kg"], "micro": pa.array(micro, pa.int64())})
-
-    if n_vocab * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(cnt1.materialize().to_arrow_refs()) if t.num_rows]
-        ct = pa.concat_tables(tabs).combine_chunks()
-        k1_all = ct["k1"].to_numpy(zero_copy_only=False)
-        o = np.argsort(k1_all)
-        c1_ref = ray.put((k1_all[o], ct["c1"].to_numpy(zero_copy_only=False)[o]))
-
-        def attach_c1(batch: pa.Table) -> pa.Table:
-            k1_s, c1_s = ray.get(c1_ref)
-            k1 = batch["k1"].to_numpy(zero_copy_only=False)
-            c1 = c1_s[np.searchsorted(k1_s, k1)]
-            return _micro_table(batch.append_column("c1", pa.array(c1, pa.int64())))
-
-        micro_ds = cnt2.map_batches(attach_c1, batch_format="pyarrow")
-    else:
-        cnt2_schema = pa.schema([("kg", pa.int64()), ("k1", pa.int64()),
-                                 ("c12", pa.int64())])
-        cnt1_schema = pa.schema([("k1", pa.int64()), ("c1", pa.int64())])
-        micro_ds = _hash_join(cnt2, cnt1, "k1", "k1", {"c1": "c1"},
-                              num_partitions, left_schema=cnt2_schema,
-                              right_schema=cnt1_schema
-                              ).map_batches(_micro_table, batch_format="pyarrow")
-
-    def finish(ids, n_bi, lp):
-        mean = lp / 1e6 / np.maximum(n_bi, 1)
-        return pa.table({id_col: pa.array(ids, pa.int64()),
-                         "n_bigrams": pa.array(n_bi, pa.int64()),
-                         "logprob_micro": pa.array(lp, pa.int64()),
-                         "logprob_mean": pa.array(mean, pa.float64())})
-
-    if n_bigram_types * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(micro_ds.materialize().to_arrow_refs()) if t.num_rows]
-        mt = pa.concat_tables(tabs).combine_chunks()
-        kg_all = mt["kg"].to_numpy(zero_copy_only=False)
-        o = np.argsort(kg_all)
-        ref = ray.put((kg_all[o], mt["micro"].to_numpy(zero_copy_only=False)[o]))
-
-        def score(batch: pa.Table) -> pa.Table:
-            kg_s, micro_s = ray.get(ref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            kg, _k1, parents = _bigram_stream(batch[text_col])
-            m = micro_s[np.searchsorted(kg_s, kg)]
-            n_rows = len(ids)
-            n_bi = np.bincount(parents, minlength=n_rows).astype(np.int64)
-            lp = _group_sum_i64(parents, m, n_rows)
-            keep = n_bi > 0
-            return finish(ids[keep], n_bi[keep], lp[keep])
-
-        return ds.map_batches(score, batch_format="pyarrow")
-
-    # over the gate: per-doc unique (kg, tf) rows join micro, reduce per doc
-    def occ(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        kg, _k1, parents = _bigram_stream(batch[text_col])
-        order = np.lexsort((kg, parents))
-        ps, ks = parents[order], kg[order]
-        first = np.empty(len(order), bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (ps[1:] != ps[:-1]) | (ks[1:] != ks[:-1])
-        starts = np.flatnonzero(first)
-        tf = np.diff(np.append(starts, len(order)))
-        return pa.table({id_col: pa.array(ids[ps[starts]], pa.int64()),
-                         "kg": pa.array(ks[starts], pa.int64()),
-                         "tf": pa.array(tf.astype(np.int64), pa.int64())})
-
-    occ_schema = pa.schema([(id_col, pa.int64()), ("kg", pa.int64()),
-                            ("tf", pa.int64())])
-    micro_schema = pa.schema([("kg", pa.int64()), ("micro", pa.int64())])
-    joined = _hash_join(ds.map_batches(occ, batch_format="pyarrow"), micro_ds,
-                        "kg", "kg", {"micro": "micro"}, num_partitions,
-                        left_schema=occ_schema, right_schema=micro_schema)
-
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        part = (ids.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__dpart", pa.array(part, pa.int32()))
-
-    def per_doc(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return finish(np.empty(0, np.int64), np.empty(0, np.int64),
-                          np.empty(0, np.int64))
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        tf = group["tf"].to_numpy(zero_copy_only=False)
-        m = group["micro"].to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(ids, return_inverse=True)
-        n_bi = _group_sum_i64(inv, tf, len(uniq))
-        lp = _group_sum_i64(inv, tf * m, len(uniq))
-        return finish(uniq, n_bi, lp)
-
-    return (
-        joined.map_batches(tag_doc, batch_format="pyarrow")
-        .groupby("__dpart")
-        .map_groups(per_doc, batch_format="pyarrow")
-    )
+    return _lm_score(ds, partial(_bigram_occ, id_col=id_col, text_col=text_col),
+                     "kg", micro_ds, id_col, "n_bigrams")
 
 
 def perplexity_buckets(ds, n_buckets: int = 10, text_col: str = "text",
@@ -701,16 +546,9 @@ def doc_freq_counts(ds, text_col: str = "text"):
     num_partitions = _join_parts(None)
 
     def partial(batch: pa.Table) -> pa.Table:
-        flat, parents = _flatten_tokens(batch[text_col])
-        kh = u64(flat).view(np.int64)
         # per-doc unique first (df counts docs, not occurrences)
-        order = np.lexsort((kh, parents))
-        ps, ks = parents[order], kh[order]
-        first = np.empty(len(order), bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (ps[1:] != ps[:-1]) | (ks[1:] != ks[:-1])
-        uniq, cnt = np.unique(ks[first], return_counts=True)
+        _ps, kh, _tf, _first, _flat = _token_tf(batch[text_col])
+        uniq, cnt = np.unique(kh, return_counts=True)
         part = (uniq.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({"kh": pa.array(uniq, pa.int64()),
                          "df": pa.array(cnt.astype(np.int64), pa.int64()),
@@ -731,6 +569,34 @@ def doc_freq_counts(ds, text_col: str = "text"):
     )
 
 
+def _tfidf_occ(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    """Per-doc unique token rows ``(id_col, kh, tf, term)`` of one batch."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    ps, kh, tf, first, flat = _token_tf(batch[text_col])
+    return _occ_table(id_col, ids[ps], "kh", kh, tf,
+                      term=flat.take(pa.array(first, pa.int64())))
+
+
+def _tfidf_rank(ids, inv, rows: pa.Table, id_col: str, k: int) -> pa.Table:
+    """Rows carrying ``idf`` scored ``tf * idf``, sorted by (doc, score
+    desc, term asc); each doc keeps rank <= k."""
+    tf = rows["tf"].to_numpy()
+    score = tf * rows["idf"].to_numpy()
+    terms = np.asarray(rows["term"].to_pylist(), dtype=str)
+    doc = ids[inv]
+    order = np.lexsort((terms, -score, doc))
+    ds_ = doc[order]
+    seg = np.flatnonzero(np.r_[True, ds_[1:] != ds_[:-1]])
+    rank = np.arange(len(ds_)) - np.repeat(seg, np.diff(np.append(seg, len(ds_)))) + 1
+    top = rank <= k
+    keep = order[top]
+    return pa.table({id_col: pa.array(doc[keep], pa.int64()),
+                     "term": pa.array(terms[keep].tolist(), pa.string()),
+                     "tf": pa.array(tf[keep], pa.int64()),
+                     "tfidf_micro": pa.array(score[keep], pa.int64()),
+                     "rank": pa.array(rank[top], pa.int64())})
+
+
 def tfidf_topk(ds, text_col: str = "text", id_col: str = "doc_id", k: int = 3):
     """Per-doc top-k keyword extraction by TF-IDF:
     ``(id_col, term, tf, tfidf_micro, rank)`` with
@@ -739,128 +605,29 @@ def tfidf_topk(ds, text_col: str = "text", id_col: str = "doc_id", k: int = 3):
     exact integer arithmetic and the SQL oracle hash-matches), ranked per
     doc by (score desc, term asc), rank 1..k.  N = total input rows.
 
-    Scale shape mirrors :func:`unigram_logprob`: pass 1 =
-    :func:`doc_freq_counts` (vocab-sized, skew-free shuffle); pass 2
-    broadcasts the sorted (kh, idf_micro) table when the vocab fits
-    ``BROADCAST_BYTES`` — then the per-doc top-k is computed entirely
-    inside the map batch, NO second shuffle — else falls back to a
-    per-doc-unique (id, kh, term, tf) hash-join + per-doc groupby."""
-    import ray
+    Pass 1 is :func:`doc_freq_counts` (a vocab-sized, skew-free shuffle);
+    pass 2 ranks per-doc ``(kh, tf, term)`` rows against the ``(kh, idf)``
+    table through :func:`riot_ray.pipelines.joins._score_per_doc`."""
+    import ray.data as rd
 
-    from .dedup import BROADCAST_BYTES, _hash_join, _join_parts
+    from .joins import _score_per_doc
 
     counts = doc_freq_counts(ds, text_col=text_col).materialize()
     n_docs = ds.count()
-    n_vocab = counts.count()
-
-    empty = pa.table({id_col: pa.array([], pa.int64()),
-                      "term": pa.array([], pa.string()),
-                      "tf": pa.array([], pa.int64()),
-                      "tfidf_micro": pa.array([], pa.int64()),
-                      "rank": pa.array([], pa.int64())})
-    if not n_vocab:
-        import ray.data as rd
-
-        return rd.from_arrow(empty)
+    reduce = partial(_tfidf_rank, id_col=id_col, k=k)
+    if not counts.count():
+        e = np.empty(0, np.int64)
+        return rd.from_arrow(reduce(e, e, pa.table({
+            "tf": e, "idf": e, "term": pa.array([], pa.string())})))
 
     def add_idf(batch: pa.Table) -> pa.Table:
-        df = batch["df"].to_numpy(zero_copy_only=False)
-        idf = np.floor(
-            np.log(float(n_docs) / df.astype(np.float64)) * 1e6 + 0.5
-        ).astype(np.int64)
-        return pa.table({"kh": batch["kh"], "idf": pa.array(idf, pa.int64())})
+        return pa.table({"kh": batch["kh"], "idf": pa.array(
+            _micro(n_docs, batch["df"].to_numpy()), pa.int64())})
 
-    idf_ds = counts.map_batches(add_idf, batch_format="pyarrow")
-
-    def _doc_unique(batch: pa.Table):
-        """(ids, parents-of-unique-rows, kh, tf, term strings) per batch."""
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        flat, parents = _flatten_tokens(batch[text_col])
-        kh = u64(flat).view(np.int64)
-        order = np.lexsort((kh, parents))
-        ps, ks = parents[order], kh[order]
-        first = np.empty(len(order), bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (ps[1:] != ps[:-1]) | (ks[1:] != ks[:-1])
-        starts = np.flatnonzero(first)
-        tf = np.diff(np.append(starts, len(order))).astype(np.int64)
-        terms = flat.take(pa.array(order[starts], pa.int64()))
-        return ids, ps[starts], ks[starts], tf, terms
-
-    def _rank_rows(ids, score, tf, terms, k):
-        """Sort rows by (doc, score desc, term asc), keep rank <= k."""
-        t_np = np.asarray(terms.to_pylist(), dtype=str)
-        order = np.lexsort((t_np, -score, ids))
-        di, si, ti, tfi = ids[order], score[order], t_np[order], tf[order]
-        new = np.r_[True, di[1:] != di[:-1]]
-        seg = np.flatnonzero(new)
-        rank = np.arange(len(di)) - np.repeat(seg, np.diff(np.append(seg, len(di)))) + 1
-        keep = rank <= k
-        return pa.table({id_col: pa.array(di[keep], pa.int64()),
-                         "term": pa.array(ti[keep].tolist(), pa.string()),
-                         "tf": pa.array(tfi[keep], pa.int64()),
-                         "tfidf_micro": pa.array(si[keep], pa.int64()),
-                         "rank": pa.array(rank[keep], pa.int64())})
-
-    if n_vocab * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(idf_ds.materialize().to_arrow_refs()) if t.num_rows]
-        it = pa.concat_tables(tabs).combine_chunks()
-        kh_all = it["kh"].to_numpy(zero_copy_only=False)
-        order = np.argsort(kh_all)
-        ref = ray.put((kh_all[order],
-                       it["idf"].to_numpy(zero_copy_only=False)[order]))
-
-        def score_batch(batch: pa.Table) -> pa.Table:
-            kh_s, idf_s = ray.get(ref)
-            ids, row_par, ks, tf, terms = _doc_unique(batch)
-            if not len(ks):
-                return empty
-            score = tf * idf_s[np.searchsorted(kh_s, ks)]
-            return _rank_rows(ids[row_par], score, tf, terms, k)
-
-        return ds.map_batches(score_batch, batch_format="pyarrow")
-
-    # over the broadcast gate: per-doc-unique rows join the idf table on kh,
-    # then a per-doc groupby ranks.  A token present in most docs makes its
-    # kh partition hot in the join — documented skew point of this fallback.
-    num_partitions = _join_parts(None)
-
-    def occ(batch: pa.Table) -> pa.Table:
-        ids, row_par, ks, tf, terms = _doc_unique(batch)
-        return pa.table({id_col: pa.array(ids[row_par], pa.int64()),
-                         "kh": pa.array(ks, pa.int64()),
-                         "tf": pa.array(tf, pa.int64()),
-                         "term": terms})
-
-    occ_schema = pa.schema([(id_col, pa.int64()), ("kh", pa.int64()),
-                            ("tf", pa.int64()), ("term", pa.string())])
-    idf_schema = pa.schema([("kh", pa.int64()), ("idf", pa.int64())])
-    joined = _hash_join(ds.map_batches(occ, batch_format="pyarrow"), idf_ds,
-                        "kh", "kh", {"idf": "idf"}, num_partitions,
-                        left_schema=occ_schema, right_schema=idf_schema)
-
-    def tag_doc(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        part = (ids.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__dpart", pa.array(part, pa.int32()))
-
-    def per_doc(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return empty
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        tf = group["tf"].to_numpy(zero_copy_only=False)
-        score = tf * group["idf"].to_numpy(zero_copy_only=False)
-        terms = group["term"]
-        if isinstance(terms, pa.ChunkedArray):
-            terms = terms.combine_chunks()
-        return _rank_rows(ids, score, tf, terms, k)
-
-    return (
-        joined.map_batches(tag_doc, batch_format="pyarrow")
-        .groupby("__dpart")
-        .map_groups(per_doc, batch_format="pyarrow")
-    )
+    return _score_per_doc(
+        ds, partial(_tfidf_occ, id_col=id_col, text_col=text_col),
+        _occ_schema(id_col, "kh", term=pa.string()),
+        counts.map_batches(add_idf, batch_format="pyarrow"), "kh", reduce)
 
 
 # --------------------------------------------------------------------------- #
@@ -912,20 +679,6 @@ def more_like_this(ds, query_ids, k: int = 5,
                          "rank": pa.array([], pa.int64())})
     n_docs = ds.count()
 
-    def _doc_unique_kh(batch: pa.Table):
-        """per-doc-unique (parents, kh, tf) for one batch (lexsort idiom)."""
-        flat, parents = _flatten_tokens(batch[text_col])
-        kh = u64(flat).view(np.int64)
-        order = np.lexsort((kh, parents))
-        ps, ks = parents[order], kh[order]
-        first = np.empty(len(order), bool)
-        if len(order):
-            first[0] = True
-            first[1:] = (ps[1:] != ps[:-1]) | (ks[1:] != ks[:-1])
-        starts = np.flatnonzero(first)
-        tf = np.diff(np.append(starts, len(order))).astype(np.int64)
-        return ps[starts], ks[starts], tf
-
     # ---- 1) pull + tokenize the query docs (bounded rows) --------------- #
     qset = ray.put(qids)
 
@@ -944,7 +697,7 @@ def more_like_this(ds, query_ids, k: int = 5,
                          "rank": pa.array([], pa.int64())})
     qtab = pa.concat_tables(qtabs).combine_chunks()
     q_doc_ids = qtab[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    qp, qk, qtf = _doc_unique_kh(qtab)
+    qp, qk, qtf = _token_tf(qtab[text_col])[:3]
     vq = np.unique(qk)  # sorted query vocabulary (hash domain)
     if vq.size == 0:
         return pa.table({"query_id": pa.array([], pa.int64()),
@@ -958,7 +711,7 @@ def more_like_this(ds, query_ids, k: int = 5,
 
     def df_partial(batch: pa.Table) -> pa.Table:
         v = ray.get(vq_ref)
-        _ps, ks, _tf = _doc_unique_kh(batch)
+        _ps, ks, _tf = _token_tf(batch[text_col])[:3]
         _pos, hit = lookup_sorted(v, ks)
         uniq, cnt = np.unique(ks[hit], return_counts=True)
         part = (uniq.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
@@ -996,7 +749,7 @@ def more_like_this(ds, query_ids, k: int = 5,
     def score_batch(batch: pa.Table) -> pa.Table:
         v, idf_, W_, qd = ray.get(state)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        ps, ks, tf = _doc_unique_kh(batch)
+        ps, ks, tf = _token_tf(batch[text_col])[:3]
         pos, hit = lookup_sorted(v, ks)
         dsel, csel, wd = ps[hit], pos[hit], tf[hit] * idf_[pos[hit]]
         nq, n_rows = len(qd), len(ids)
@@ -1226,20 +979,6 @@ def extract_json_int(
 # --------------------------------------------------------------------------- #
 # repetition / boilerplate quality filters (Gopher-style; Rae et al. 2021)
 # --------------------------------------------------------------------------- #
-def _ngram_strings(flat: pa.Array, parents: np.ndarray, n: int):
-    """(gram strings as pa.Array, gram parent doc indices) for within-doc
-    token n-grams — vectorized: n shifted slices joined with ' ', rows kept
-    only where all n tokens share the parent doc."""
-    m = len(flat) - n + 1
-    if m <= 0:
-        return pa.array([], pa.string()), np.empty(0, np.int64)
-    mask = parents[: m] == parents[n - 1 :]
-    parts = [flat.slice(i, m) for i in range(n)]
-    grams = pc.binary_join_element_wise(*parts, " ")
-    keep = pa.array(mask)
-    return grams.filter(keep), parents[:m][mask]
-
-
 def _pair_counts(strs: pa.Array, parents: np.ndarray):
     """Per-(doc, string) occurrence counts.  Returns (docs, codes, counts,
     dictionary) where dictionary[codes] are the unique strings."""
@@ -1273,12 +1012,8 @@ def _gram_hash_occurrences(h: np.ndarray, tparents: np.ndarray, n: int):
 def _gram_runs(kg: np.ndarray, kpar: np.ndarray, pos0: np.ndarray):
     """Collapse (doc, gram-hash) occurrences into runs: per-run (doc, count,
     representative pos0)."""
-    order = np.lexsort((kg, kpar))
-    ks, ds_, ps = kg[order], kpar[order], pos0[order]
-    new = np.r_[True, (ds_[1:] != ds_[:-1]) | (ks[1:] != ks[:-1])]
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.r_[starts, len(ks)])
-    return ds_[starts], counts, ps[starts]
+    docs, _kg, counts, first = _doc_key_tf(kpar, kg)
+    return docs, counts, pos0[first]
 
 
 def _top_gram_frac(flat, h, tparents, n, n_rows, tok_chars):

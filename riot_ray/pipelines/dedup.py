@@ -153,9 +153,10 @@ class _JoinAssemble:
     rows from both sides; vectorized local inner join via searchsorted."""
 
     def __init__(self, left_on: str, right_key: str, left_names: list,
-                 out_schema: pa.Schema):
+                 out_schema: pa.Schema, right_on: str):
         self.left_on = left_on
         self.right_key = right_key
+        self.right_on = right_on
         self.left_names = left_names
         self.out_schema = out_schema
         self.__name__ = "JoinAssemble"
@@ -165,11 +166,14 @@ class _JoinAssemble:
         lmask = role == 0
         left = group.filter(pa.array(lmask))
         right = group.filter(pa.array(~lmask))
-        if left.num_rows == 0 or right.num_rows == 0:
-            return self.out_schema.empty_table()
         rkeys = right[self.right_key].to_numpy(zero_copy_only=False)
         rorder = np.argsort(rkeys)
         rkeys = rkeys[rorder]
+        if (rkeys[1:] == rkeys[:-1]).any():
+            raise ValueError(
+                f"hash join: right side not unique on {self.right_on}")
+        if left.num_rows == 0 or right.num_rows == 0:
+            return self.out_schema.empty_table()
         lkeys = left[self.left_on].to_numpy(zero_copy_only=False)
         pos = np.searchsorted(rkeys, lkeys)
         pos_c = np.minimum(pos, len(rkeys) - 1)
@@ -195,9 +199,10 @@ def _hash_join(left, right, left_on: str, right_on: str,
     skewed pair tables — so the join is built on the groupby primitive the
     rest of the engine already trusts.)
 
-    ``right`` must be UNIQUE on ``right_on`` (per-doc payload tables are);
-    ``payload`` maps right column -> output name.  Output: all left columns
-    + renamed payload columns; left rows without a match are dropped.
+    ``right`` must be UNIQUE on ``right_on`` (per-doc payload tables are;
+    a repeated key raises ``ValueError``); ``payload`` maps right column
+    -> output name.  Output: all left columns + renamed payload columns;
+    left rows without a match are dropped.
     Only (key, payload) move through the shuffle — the scale-safe
     replacement for driver-side payload broadcasts.
 
@@ -250,7 +255,7 @@ def _hash_join(left, right, left_on: str, right_on: str,
         right.map_batches(tag_right, batch_format="pyarrow")
     )
     return u.groupby("__part").map_groups(
-        _JoinAssemble(left_on, "__rkey", l_names, out_schema),
+        _JoinAssemble(left_on, "__rkey", l_names, out_schema, right_on),
         batch_format="pyarrow",
     )
 

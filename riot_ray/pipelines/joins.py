@@ -16,6 +16,10 @@ verify tails use internally via ``_attach_pair_payload``):
 Both are inner joins keyed on a single column, with the right side UNIQUE
 on its key; ``broadcast_join(how="left")`` keeps unmatched left rows with
 null payloads.
+
+``_score_per_doc`` is the corpus-scoring plan built on the two: per-doc
+occurrence rows attach a keyed weight table and reduce per doc (the LM,
+tf-idf and Naive Bayes scorers).
 """
 
 from __future__ import annotations
@@ -127,3 +131,91 @@ def hash_join(
         left, right, left_on, right_on, payload, _join_parts(num_partitions),
         left_schema=left_schema, right_schema=right_schema,
     )
+
+
+def _score_per_doc(ds, occ, occ_schema: pa.Schema, weights, key: str, reduce):
+    """Score every doc of ``ds`` against a keyed weight table: the one plan
+    behind the LM, tf-idf and Naive Bayes scorers.
+
+    ``occ(batch)`` turns an input batch into per-doc-unique occurrence rows
+    ``(id, key, tf, ...)`` with the doc id first, typed by ``occ_schema``
+    (given, so the lazy input is never executed to peek at a row).
+    ``weights`` is a Dataset unique on ``key``.  Each occurrence row whose
+    key is in the table gets the table's other columns attached; rows
+    without a match drop out, so a doc with no matching row emits nothing.
+    ``reduce(ids, inv, rows)`` then turns the rows of the docs in one group
+    (``ids`` sorted unique doc ids, ``inv`` each row's index into ``ids``)
+    into output rows, and must accept zero rows.
+
+    The branch follows the weight table's materialized size:
+
+    * up to ``BROADCAST_BYTES`` the table is pulled once (a non-unique key
+      raises), ``ray.put`` once, and each batch does occ → sorted-key
+      lookup → reduce inside one map.  A doc never spans batches, so
+      there is no shuffle;
+    * above it the occurrence rows ``_hash_join`` the table on ``key``,
+      are tagged by doc-id hash and reach ``reduce`` through one
+      ``groupby`` — per-doc state never centralizes.
+
+    Both branches hand ``reduce`` the same rows per doc, so they return
+    the same rows; integer scores make the sums order-independent."""
+    import ray
+
+    from .dedup import BROADCAST_BYTES, _hash_join, _join_parts
+
+    weights = weights.materialize()
+    ws = weights.schema()
+    w_schema = pa.schema(list(zip(ws.names, ws.types)))
+    payload = {c: c for c in w_schema.names if c != key}
+    if weights.size_bytes() <= BROADCAST_BYTES:
+        tabs = [t for t in ray.get(weights.to_arrow_refs()) if t.num_rows]
+        table = pa.concat_tables(tabs) if tabs else w_schema.empty_table()
+        ref = ray.put(_small_side(table, key, payload))
+        return ds.map_batches(_broadcast_score, batch_format="pyarrow",
+                              fn_args=(occ, ref, key, reduce))
+    num_partitions = _join_parts(None)
+    occ_ds = ds.map_batches(_occ_rows, batch_format="pyarrow", fn_args=(occ,))
+    joined = _hash_join(occ_ds, weights, key, key, payload, num_partitions,
+                        left_schema=occ_schema, right_schema=w_schema)
+    return (
+        joined.map_batches(_tag_doc, batch_format="pyarrow",
+                           fn_args=(occ_schema.names[0], num_partitions))
+        .groupby("__dpart")
+        .map_groups(_reduce_docs, batch_format="pyarrow", fn_args=(reduce,))
+    )
+
+
+def _reduce_docs(rows: pa.Table, reduce) -> pa.Table:
+    """``reduce`` over the docs of ``rows`` (doc id in the first column)."""
+    ids, inv = np.unique(rows.column(0).to_numpy(), return_inverse=True)
+    return reduce(ids, inv, rows)
+
+
+def _broadcast_score(batch: pa.Table, occ, ref, key: str, reduce) -> pa.Table:
+    """Broadcast branch of :func:`_score_per_doc`: one batch's occurrence
+    rows, their weight columns attached by sorted-key lookup, reduced."""
+    import ray
+
+    from .sampling import lookup_sorted
+
+    keys, cols = ray.get(ref)
+    rows = occ(batch)
+    pos, hit = lookup_sorted(keys, rows[key].to_numpy())
+    rows = rows.filter(pa.array(hit))
+    take = pa.array(pos[hit], pa.int64())
+    for name, col in cols.items():
+        rows = rows.append_column(name, col.take(take))
+    return _reduce_docs(rows, reduce)
+
+
+def _occ_rows(batch: pa.Table, occ) -> pa.Table:
+    """The hash-join branch's left side: ``occ`` behind one module-level
+    task function, whatever callable the caller passed."""
+    return occ(batch)
+
+
+def _tag_doc(batch: pa.Table, id_col: str, num_partitions: int) -> pa.Table:
+    """Hash partition of each row's doc id, as ``__dpart``."""
+    ids = batch[id_col].to_numpy().astype(np.int64)
+    part = (ids.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
+    return batch.append_column("__dpart", pa.array(part, pa.int32()))

@@ -1254,6 +1254,35 @@ def test_broadcast_join_left_nulls(ray_session):
     assert broadcast_join(big, empty, "k", "k", how="inner").count() == 0
 
 
+def test_hash_join_rejects_non_unique_right(ray_session):
+    """A repeated right key fails loudly on both join shapes, instead of
+    the hash join silently keeping only one of its matches."""
+    import ray.data as rd
+
+    from riot_ray.pipelines import broadcast_join, hash_join
+
+    big = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
+    dim = pa.table({"k": pa.array([2, 2], pa.int64()),
+                    "v": pa.array(["a", "b"])})
+    with pytest.raises(ValueError, match="not unique on k"):
+        hash_join(big, rd.from_arrow(dim), "k", "k").materialize()
+    with pytest.raises(ValueError, match="not unique on k"):
+        broadcast_join(big, dim, "k", "k")
+
+
+def test_doc_key_tf_rows():
+    from riot_ray.pipelines.analysis import _doc_key_tf
+
+    ps, ks, tf, first = _doc_key_tf(np.array([1, 0, 1, 0, 1]),
+                                    np.array([5, 7, 5, 3, 9]))
+    assert ps.tolist() == [0, 0, 1, 1]
+    assert ks.tolist() == [3, 7, 5, 9]
+    assert tf.tolist() == [1, 1, 2, 1]
+    assert first.tolist() == [3, 1, 0, 4]
+    empty = _doc_key_tf(np.empty(0, np.int64), np.empty(0, np.int64))
+    assert all(len(a) == 0 for a in empty)
+
+
 def test_checkpointed_write_resume(ray_session, tmp_path):
     import glob
     import json
@@ -2180,23 +2209,38 @@ def test_unigram_logprob_matches_sql(docs_ds):
     assert (got["logprob_mean"] < 0).all()
 
 
+_EMPTY_DOC_ID = 10**9
+
+
+def _with_empty_doc(docs_ds):
+    """(doc_id, text) of the corpus plus one empty-text doc, which every
+    per-doc scorer drops (the SQL occurrence join has no row for it)."""
+    import ray.data as rd
+
+    return docs_ds.select_columns(["doc_id", "text"]).union(rd.from_arrow(
+        pa.table({"doc_id": pa.array([_EMPTY_DOC_ID], pa.int64()),
+                  "text": pa.array([""], pa.string())})))
+
+
 def test_unigram_logprob_join_path_matches_broadcast(docs_ds, monkeypatch):
     import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import unigram_logprob
 
+    ds = _with_empty_doc(docs_ds)
     base = (
-        unigram_logprob(docs_ds.select_columns(["doc_id", "text"]))
+        unigram_logprob(ds)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
     monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
     joined = (
-        unigram_logprob(docs_ds.select_columns(["doc_id", "text"]))
+        unigram_logprob(ds)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
+    assert _EMPTY_DOC_ID not in set(base["doc_id"]) | set(joined["doc_id"])
     assert (base["doc_id"].to_numpy() == joined["doc_id"].to_numpy()).all()
     assert (base["logprob_micro"].to_numpy()
             == joined["logprob_micro"].to_numpy()).all()
@@ -2252,9 +2296,11 @@ def test_tfidf_topk_matches_sql(docs_ds):
 def test_tfidf_topk_join_path_matches_broadcast(docs_ds, monkeypatch):
     import riot_ray.pipelines.dedup as dd
 
-    base = _tfidf_frame(docs_ds)
+    ds = _with_empty_doc(docs_ds)
+    base = _tfidf_frame(ds)
     monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
-    joined = _tfidf_frame(docs_ds)
+    joined = _tfidf_frame(ds)
+    assert _EMPTY_DOC_ID not in set(base["doc_id"]) | set(joined["doc_id"])
     assert len(base) == len(joined)
     for c in ("doc_id", "tf", "tfidf_micro", "rank"):
         assert (base[c].to_numpy() == joined[c].to_numpy()).all(), c
@@ -2379,9 +2425,11 @@ def test_bigram_logprob_matches_sql(docs_ds):
 def test_bigram_logprob_join_path_matches_broadcast(docs_ds, monkeypatch):
     import riot_ray.pipelines.dedup as dd
 
-    base = _bigram_frame(docs_ds)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force both join paths
-    joined = _bigram_frame(docs_ds)
+    ds = _with_empty_doc(docs_ds)
+    base = _bigram_frame(ds)
+    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    joined = _bigram_frame(ds)
+    assert _EMPTY_DOC_ID not in set(base["doc_id"]) | set(joined["doc_id"])
     assert len(base) == len(joined)
     for c in ("doc_id", "n_bigrams", "logprob_micro"):
         assert (base[c].to_numpy() == joined[c].to_numpy()).all(), c
@@ -4024,6 +4072,55 @@ def test_batch_retrieval_matches_online(corpus_index):
     a = got.sort_values(["query_id", "doc_id"]).reset_index(drop=True)
     b = got1.sort_values(["query_id", "doc_id"]).reset_index(drop=True)
     assert a.equals(b)
+
+
+def test_batch_retrieval_pool_on_one_cpu(corpus_index):
+    """batch_retrieval with concurrency=2 on a ONE-CPU Ray finishes with the
+    same rows: the query table (repartitioned, so its plan runs tasks) is
+    read before the pool's first actor takes the only CPU.  Runs in a
+    subprocess with its own Ray, killed after a timeout, so a regression
+    fails instead of hanging the suite."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    import ray.data as rd
+
+    from riot_ray.pipelines import batch_retrieval
+
+    idx = corpus_index["index_dir"]
+    texts = ["parse json", "uuid parse", "http server"]
+    script = textwrap.dedent(f"""
+        import ray
+        import ray.data as rd
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        rd.DataContext.get_current().enable_progress_bars = False
+        from riot_ray.pipelines import batch_retrieval
+        qs = rd.from_items([{{"query_id": i, "text": t}}
+                            for i, t in enumerate({texts!r})]).repartition(2)
+        out = batch_retrieval(qs, {idx!r}, k=4, concurrency=2).to_pandas()
+        print(sorted(zip(out.query_id, out.doc_id, out.score_milli)))
+    """)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], cwd=repo,
+        env={**os.environ, "PYTHONPATH": repo},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("batch_retrieval on a one-CPU Ray made no progress in 180 s")
+    assert proc.returncode == 0, err[-3000:]
+    qs = rd.from_items([{"query_id": i, "text": t} for i, t in enumerate(texts)])
+    want = batch_retrieval(qs, idx, k=4, concurrency=1).to_pandas()
+    assert out.strip().splitlines()[-1] == str(
+        sorted(zip(want.query_id, want.doc_id, want.score_milli)))
 
 
 # ---------------------------------------------------------------------------- #
