@@ -1580,6 +1580,55 @@ def test_embedding_dup_lsh_near_dup_regime(ray_session):
     assert (got["cosine"] >= 0.95).all()
 
 
+def _planted_vecs():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((16, 12))
+    vecs = np.concatenate([base, base + rng.standard_normal((16, 12)) * 0.005])
+    return pa.table({"vec_id": pa.array(range(32), pa.int64()),
+                     "embedding": pa.array(list(vecs), pa.list_(pa.float64()))})
+
+
+_PAIR_VERIFIERS = {
+    "ngram_jaccard_pairs": lambda p, ds, vs: p.ngram_jaccard_pairs(
+        ds, threshold=0.3, plan="exact"),
+    "minhash_lsh_pairs": lambda p, ds, vs: p.minhash_lsh_pairs(
+        ds, threshold=0.3),
+    "minhash_lsh_exact_pairs": lambda p, ds, vs: p.minhash_lsh_exact_pairs(
+        ds, threshold=0.3),
+    "simhash_pairs": lambda p, ds, vs: p.simhash_pairs(ds, max_hamming=8),
+    "embedding_dup_pairs_lsh": lambda p, ds, vs: p.embedding_dup_pairs_lsh(
+        vs, threshold=0.95),
+    "dup_spans_prefilter": lambda p, ds, vs: p.dup_spans(
+        ds, min_len=20, prefilter=True),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_PAIR_VERIFIERS))
+def test_pair_verify_shuffle_equals_broadcast(ray_session, monkeypatch, op):
+    """Every candidate-then-verify operator returns the same rows when its
+    payload table is broadcast (default gate) and when the gate is 0 and
+    it goes through the hash join instead (dup_spans' candidate prefilter
+    skips itself over the gate)."""
+    import ray
+    import ray.data as rd
+
+    import riot_ray.pipelines as p
+    import riot_ray.pipelines.dedup as dd
+
+    ds = rd.from_arrow(_dup_corpus()).repartition(2)
+    vs = rd.from_arrow(_planted_vecs()).repartition(2)
+
+    def run():
+        refs = _PAIR_VERIFIERS[op](p, ds, vs).to_arrow_refs()
+        t = pa.concat_tables([t for t in ray.get(refs) if t.num_rows])
+        return t.sort_by([(c, "ascending") for c in t.column_names]).to_pydict()
+
+    broadcast = run()
+    assert len(next(iter(broadcast.values()))) > 0
+    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    assert run() == broadcast
+
+
 # ---------------------------------------------------------------------------- #
 # event-time windows (events table)
 # ---------------------------------------------------------------------------- #
