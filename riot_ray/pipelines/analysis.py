@@ -316,7 +316,7 @@ def unigram_counts(ds, text_col: str = "text"):
     ``(kh int64, cnt int64)``, unique on kh.  Map side shrinks each batch
     to its unique tokens before the shuffle (np.unique partial counts), so
     the exchange carries vocabulary-sized rows, never the token stream."""
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(None)
 
@@ -456,7 +456,7 @@ def bigram_logprob(ds, text_col: str = "text", id_col: str = "doc_id"):
     computes c12, c1 and the micro-nats locally; pass 2 scores per-doc
     ``(kg, tf)`` rows through
     :func:`riot_ray.pipelines.joins._score_per_doc`."""
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(None)
 
@@ -541,7 +541,7 @@ def doc_freq_counts(ds, text_col: str = "text"):
     per token (np.unique twice), so the shuffle carries vocabulary-sized
     partials — the skew-free shape: a token in every doc still ships one
     row per batch, never one row per doc."""
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(None)
 
@@ -667,7 +667,7 @@ def more_like_this(ds, query_ids, k: int = 5,
     """
     import ray
 
-    from .dedup import _join_parts
+    from .joins import _join_parts
     from .sampling import lookup_sorted
     from .simsearch import _DRIVER_REDUCE_MAX_ROWS
 
@@ -1313,7 +1313,7 @@ def grouped_stats(ds, col: str, key_col: str,
 
     One hash-partitioned shuffle of per-batch (key, n, sum, sumsq)
     partials — three int64 cells per key per batch."""
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(num_partitions)
 
@@ -1394,7 +1394,7 @@ def grouped_quantiles(ds, col: str, key_col: str,
     use :func:`exact_quantiles` per key instead."""
     import math
 
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(num_partitions)
     qs = tuple(qs)

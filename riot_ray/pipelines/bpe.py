@@ -48,7 +48,7 @@ def word_counts(ds, text_col: str = "text", max_words: int = 200_000,
     partitions x max_words rows."""
     import ray
 
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(num_partitions)
 
@@ -228,11 +228,13 @@ def bpe_encode_counts(ds, merges: list, text_col: str = "text",
                       batch_size: int = 4096):
     """Per-doc subword counts under a trained merge list:
     ``(id_col, n_words, n_subwords)``.  Merges broadcast once via
-    ``ray.put``; encoding state lives in the actor (T1 pattern)."""
+    ``ray.put``; encoding state lives in the actor (T1 pattern).  The input
+    is materialized first: a pool's first actor holds its CPU, so on a
+    one-CPU cluster the tasks that read the input would never run."""
     import ray
 
     mref = ray.put([tuple(p) for p in merges])
-    return ds.map_batches(
+    return ds.materialize().map_batches(
         _BpeEncodeStage,
         fn_constructor_kwargs={"merges_ref": mref, "text_col": text_col,
                                "id_col": id_col},

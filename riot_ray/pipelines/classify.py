@@ -67,7 +67,7 @@ def nb_fit(ds, text_col: str = "text", label_col: str = "label",
     ``V`` the corpus vocabulary size (the row count of ``counts_ds``)."""
     import ray
 
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(num_partitions)
 

@@ -18,8 +18,8 @@ Scale shape: pass 1 ships batch-combined (a, b, cnt) pair rows through
 ONE hash-partitioned shuffle (pairs are emitted once per batch via a
 vectorized offset-d scan — window small, d = 1..window vectorized
 passes); marginals are a second vocabulary-sized shuffle over the pair
-table; the marginal table attaches size-gated (broadcast under
-``BROADCAST_BYTES``, else two hash joins).
+table; the marginal table attaches to both pair tokens through the
+broadcast-or-shuffle gate of :mod:`riot_ray.pipelines.joins`.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def cooc_pairs(ds, text_col: str = "text", window: int = 5,
                num_partitions: int | None = None):
     """The reduced co-occurrence pair Dataset (a, b, cnt), unique on
     (a, b)."""
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(num_partitions)
 
@@ -134,7 +134,7 @@ def ppmi_embeddings(ds, dim: int = 32, window: int = 5,
     planted-collocation geometry and block-count determinism."""
     import ray
 
-    from .dedup import _join_parts
+    from .joins import _join_parts
 
     num_partitions = _join_parts(num_partitions)
     pairs = cooc_pairs(ds, text_col, window, num_partitions).materialize()
@@ -252,9 +252,7 @@ def pmi_pairs(ds, text_col: str = "text", window: int = 5,
     """(tok_a, tok_b, cnt, pmi_micro) for pairs with cnt >= min_count.
     Marginals and N come from the UNFILTERED pair table (the statistic's
     definition), attached size-gated."""
-    import ray
-
-    from .dedup import BROADCAST_BYTES, _hash_join, _join_parts
+    from .joins import _attach_keyed, _join_parts
 
     num_partitions = _join_parts(num_partitions)
     pairs = cooc_pairs(ds, text_col, window, num_partitions).materialize()
@@ -304,68 +302,28 @@ def pmi_pairs(ds, text_col: str = "text", window: int = 5,
         .map_groups(marg_reduce, batch_format="pyarrow")
         .materialize()
     )
-    n_vocab = marg.count()
-
-    def finish(a, b, cnt, ma, mb) -> pa.Table:
-        pmi = np.floor(
-            np.log((cnt.astype(np.float64) * float(N))
-                   / (ma.astype(np.float64) * mb.astype(np.float64)))
-            * 1e6 + 0.5
-        ).astype(np.int64)
-        return pa.table({"tok_a": pa.array(a, pa.string()),
-                         "tok_b": pa.array(b, pa.string()),
-                         "cnt": pa.array(cnt, pa.int64()),
-                         "pmi_micro": pa.array(pmi, pa.int64())})
-
-    if n_vocab * 24 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(marg.materialize().to_arrow_refs()) if t.num_rows]
-        mt = pa.concat_tables(tabs).combine_chunks()
-        toks = np.asarray(mt["tok"].to_pylist(), dtype=object)
-        ms = mt["m"].to_numpy(zero_copy_only=False)
-        order = np.argsort(toks)
-        mref = ray.put((toks[order], ms[order]))
-
-        def score(batch: pa.Table) -> pa.Table:
-            g_t, g_m = ray.get(mref)
-            keep = pc.greater_equal(batch["cnt"], min_count)
-            t = batch.filter(keep)
-            if t.num_rows == 0:
-                return finish(np.empty(0, object), np.empty(0, object),
-                              np.empty(0, np.int64), np.empty(0, np.int64),
-                              np.empty(0, np.int64))
-            a = np.asarray(t["a"].to_pylist(), dtype=object)
-            b = np.asarray(t["b"].to_pylist(), dtype=object)
-            cnt = t["cnt"].to_numpy(zero_copy_only=False)
-            ma = g_m[np.searchsorted(g_t, a)]
-            mb = g_m[np.searchsorted(g_t, b)]
-            return finish(a, b, cnt, ma, mb)
-
-        return pairs.map_batches(score, batch_format="pyarrow")
-
-    # marginal table over the gate: two hash joins (a then b)
     pair_schema = pa.schema([("a", pa.string()), ("b", pa.string()),
                              ("cnt", pa.int64())])
-    marg_schema = pa.schema([("tok", pa.string()), ("m", pa.int64())])
     filt = pairs.map_batches(
         lambda b: b.filter(pc.greater_equal(b["cnt"], min_count)),
         batch_format="pyarrow")
-    j1 = _hash_join(filt, marg, "a", "tok", {"m": "ma"}, num_partitions,
-                    left_schema=pair_schema, right_schema=marg_schema)
-    j1_schema = pa.schema(list(pair_schema) + [("ma", pa.int64())])
-    j2 = _hash_join(j1, marg, "b", "tok", {"m": "mb"}, num_partitions,
-                    left_schema=j1_schema, right_schema=marg_schema)
+    joined = _attach_keyed(filt, marg, "tok",
+                           [("a", {"m": "ma"}), ("b", {"m": "mb"})],
+                           num_partitions, left_schema=pair_schema)
 
-    def score2(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return finish(np.empty(0, object), np.empty(0, object),
-                          np.empty(0, np.int64), np.empty(0, np.int64),
-                          np.empty(0, np.int64))
-        return finish(
-            np.asarray(batch["a"].to_pylist(), dtype=object),
-            np.asarray(batch["b"].to_pylist(), dtype=object),
-            batch["cnt"].to_numpy(zero_copy_only=False),
-            batch["ma"].to_numpy(zero_copy_only=False),
-            batch["mb"].to_numpy(zero_copy_only=False),
-        )
+    def score(batch: pa.Table) -> pa.Table:
+        pmi = np.floor(
+            np.log((batch["cnt"].to_numpy(zero_copy_only=False)
+                    .astype(np.float64) * float(N))
+                   / (batch["ma"].to_numpy(zero_copy_only=False)
+                      .astype(np.float64)
+                      * batch["mb"].to_numpy(zero_copy_only=False)
+                      .astype(np.float64)))
+            * 1e6 + 0.5
+        ).astype(np.int64)
+        return pa.table({"tok_a": batch["a"].cast(pa.string()),
+                         "tok_b": batch["b"].cast(pa.string()),
+                         "cnt": batch["cnt"].cast(pa.int64()),
+                         "pmi_micro": pa.array(pmi, pa.int64())})
 
-    return j2.map_batches(score2, batch_format="pyarrow")
+    return joined.map_batches(score, batch_format="pyarrow")

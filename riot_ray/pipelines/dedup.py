@@ -1,10 +1,13 @@
 """Deduplication operators for training-data pipelines.
 
-Five family members, each expressed Ray-Data-first:
+The family, each member expressed Ray-Data-first:
 
 * exact        — hash-partition on a content digest, keep min-id per group
                  (one groupby shuffle; the digest is computed in a
                  map_batches so only (digest, id) moves through the shuffle)
+* incremental  — write_digests persists a corpus's digest set; filter_seen
+                 drops later docs whose digest is in it
+* line         — C4-style corpus-wide duplicate-line removal
 * ngram-jaccard— exact word-n-gram Jaccard pairs via the inverted
                  shingle->doc index: explode shingles, groupby(shingle) to
                  emit co-occurring pairs, count pair intersections, verify
@@ -18,24 +21,26 @@ Five family members, each expressed Ray-Data-first:
                  4x16-bit block trick (a pair within distance 3 must agree
                  on >=1 of 4 blocks -> groupby each block).
 * embedding    — cosine near-dup pairs over list<float> embeddings:
-                 normalized matrix broadcast via ray.put, per-batch matmul.
+                 normalized matrix broadcast via ray.put, per-batch matmul;
+                 semdedup clusters embeddings and drops near-dups per cluster.
+* clusters     — connected components of a pair graph; dedup_filter /
+                 dedup_filter_by keep one survivor per cluster, filter_ids
+                 drops any id set.
+* contamination— train/test n-gram overlap against a broadcast benchmark.
 
 All pair outputs use (id_a < id_b) canonical order.  Hot-key safety: shingle
 groups are capped (a shingle shared by >max_group docs is dropped from
 candidate generation — standard LSH practice; a shingle that common carries
 no signal) so no group is quadratic in the corpus.
 
-Scale contract (round-2 rework): NO ungated per-doc state is ever
-materialized on the driver.  Pair verification attaches per-doc payloads
-(shingle counts, minhash signatures, simhash values, embeddings) to the
-candidate pair table with the standard size-gated join selection: payload
-tables under BROADCAST_BYTES (64 MB) are broadcast once via ray.put and
-looked up vectorized (cheap when pairs outnumber docs); larger payload
-tables go through a DISTRIBUTED hash join on doc id (both sides
-hash-partition on the key, each partition verifies vectorized) so the
-verify tail streams at any corpus size.  The remaining driver-side
-collections are (a) the hot-shingle blocklist (df > max_group — bounded and
-tiny by construction) and (b) thresholded pair/cluster survivor sets.
+Scale contract: NO ungated per-doc state is ever materialized on the
+driver.  Pair verification attaches per-doc payloads (shingle counts,
+minhash signatures, shingle sets, simhash values, embeddings) to the
+candidate pair table through the broadcast-or-shuffle gate of
+:mod:`riot_ray.pipelines.joins`, so the verify tail streams at any corpus
+size.  The remaining driver-side collections are (a) the hot-shingle
+blocklist (df > max_group — bounded and tiny by construction) and (b)
+thresholded pair/cluster survivor sets.
 """
 
 from __future__ import annotations
@@ -47,7 +52,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import digest16, hex_digest, u64
+from ..query import lookup_sorted
 from .analysis import _flatten_tokens, round6
+from .joins import (_attach_keyed, _broadcast, _cogroup, _hash_join,
+                    _gate_bytes, _join_parts, _member_filter, _small_table)
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 
@@ -58,24 +66,6 @@ def _empty_pairs(*extra: tuple) -> pa.Table:
     for name, typ in extra:
         cols[name] = pa.array([], typ)
     return pa.table(cols)
-
-
-def _join_parts(requested: int | None) -> int:
-    """Resolve the hash-join partition count.  Ray's hash-shuffle join
-    schedules one aggregator actor per partition; asking for more partitions
-    than the cluster has CPUs starves the map side (observed deadlock at
-    16 partitions on a 4-CPU session).  Default: one partition per CPU,
-    clamped to [2, 64] — multi-node deployments with huge pair tables should
-    pass an explicit count sized to aggregate memory."""
-    if requested:
-        return requested
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    return max(2, min(cpus, 64))
 
 
 class _PairReduce:
@@ -138,211 +128,19 @@ def _unique_pairs(cands, num_partitions: int | None = None):
     return _combine_pairs(cands, num_partitions or _join_parts(None))
 
 
-def _part_of_keys(key, num_partitions: int) -> np.ndarray:
-    """Partition id for a join key column.  Integer keys mod directly;
-    any other key hashes its Arrow text (:func:`riot_ray.hashing.u64`).
-    The key must hold no null: :func:`_hash_join` drops those rows first."""
-    if pa.types.is_integer(key.type):
-        return (key.to_numpy() % num_partitions).astype(np.int32)
-    h = u64(key.cast(pa.string()))
-    return (h % np.uint64(num_partitions)).astype(np.int32)
-
-
-class _JoinAssemble:
-    """Group fn for :func:`_hash_join`: one hash partition holding tagged
-    rows from both sides; vectorized local inner join via searchsorted."""
-
-    def __init__(self, left_on: str, right_key: str, left_names: list,
-                 out_schema: pa.Schema, right_on: str):
-        self.left_on = left_on
-        self.right_key = right_key
-        self.right_on = right_on
-        self.left_names = left_names
-        self.out_schema = out_schema
-        self.__name__ = "JoinAssemble"
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        role = group["__role"].to_numpy(zero_copy_only=False)
-        lmask = role == 0
-        left = group.filter(pa.array(lmask))
-        right = group.filter(pa.array(~lmask))
-        rkeys = right[self.right_key].to_numpy(zero_copy_only=False)
-        rorder = np.argsort(rkeys)
-        rkeys = rkeys[rorder]
-        if (rkeys[1:] == rkeys[:-1]).any():
-            raise ValueError(
-                f"hash join: right side not unique on {self.right_on}")
-        if left.num_rows == 0 or right.num_rows == 0:
-            return self.out_schema.empty_table()
-        lkeys = left[self.left_on].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(rkeys, lkeys)
-        pos_c = np.minimum(pos, len(rkeys) - 1)
-        hit = rkeys[pos_c] == lkeys
-        left = left.filter(pa.array(hit))
-        take = pa.array(rorder[pos_c[hit]])
-        cols = {n: left[n] for n in self.left_names}
-        for n in self.out_schema.names:
-            if n not in cols:
-                cols[n] = right[n].take(take)
-        return pa.table({n: cols[n] for n in self.out_schema.names})
-
-
-def _hash_join(left, right, left_on: str, right_on: str,
-               payload: dict, num_partitions: int,
-               left_schema: pa.Schema | None = None,
-               right_schema: pa.Schema | None = None):
-    """Distributed inner hash-join expressed as ONE sort-shuffle
-    ``groupby(part).map_groups`` over the tagged union of both sides.
-
-    (Ray 2.49's ``Dataset.join`` crashes with "No match for key field" when
-    any hash partition comes up empty on the left — routine for small or
-    skewed pair tables — so the join is built on the groupby primitive the
-    rest of the engine already trusts.)
-
-    ``right`` must be UNIQUE on ``right_on`` (per-doc payload tables are;
-    a repeated key raises ``ValueError``); ``payload`` maps right column
-    -> output name.  Output: all left columns + renamed payload columns;
-    left rows without a match are dropped.
-    Only (key, payload) move through the shuffle — the scale-safe
-    replacement for driver-side payload broadcasts.
-
-    Pass ``left_schema``/``right_schema`` (pyarrow) whenever the dataset is
-    LAZY: ``Dataset.schema()`` on an unexecuted pipeline runs the whole
-    plan once just to peek a row — measured at 600k docs, the implicit
-    schema probe doubled the verify stage's wall time."""
-    if left_schema is None:
-        ls = left.schema()
-        left_schema = pa.schema(list(zip(ls.names, ls.types)))
-    if right_schema is None:
-        rs = right.schema()
-        right_schema = pa.schema(list(zip(rs.names, rs.types)))
-    l_names = list(left_schema.names)
-    l_types = {n: t for n, t in zip(left_schema.names, left_schema.types)}
-    r_types = {n: t for n, t in zip(right_schema.names, right_schema.types)}
-    out_fields = [(n, l_types[n]) for n in l_names] + [
-        (out, r_types[src]) for src, out in payload.items()
-    ]
-    out_schema = pa.schema(out_fields)
-    key_t = l_types[left_on]
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_valid(b[left_on]))  # a null key matches nothing
-        n = b.num_rows
-        cols = {"__part": pa.array(_part_of_keys(b[left_on], num_partitions),
-                                   pa.int32()),
-                "__role": pa.array(np.zeros(n, np.int8), pa.int8()),
-                "__rkey": pa.nulls(n, key_t)}
-        for name in l_names:
-            cols[name] = b[name]
-        for src, out in payload.items():
-            cols[out] = pa.nulls(n, r_types[src])
-        return pa.table(cols)
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_valid(b[right_on]))
-        n = b.num_rows
-        cols = {"__part": pa.array(_part_of_keys(b[right_on], num_partitions),
-                                   pa.int32()),
-                "__role": pa.array(np.ones(n, np.int8), pa.int8()),
-                "__rkey": b[right_on].cast(key_t)}
-        for name in l_names:
-            cols[name] = pa.nulls(n, l_types[name])
-        for src, out in payload.items():
-            cols[out] = b[src]
-        return pa.table(cols)
-
-    u = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-    return u.groupby("__part").map_groups(
-        _JoinAssemble(left_on, "__rkey", l_names, out_schema, right_on),
-        batch_format="pyarrow",
-    )
-
-
-# one broadcast copy per node is cheap up to this size; past it the payload
-# table is joined instead of centralized (Spark-style broadcast-join gate)
-BROADCAST_BYTES = 64 << 20
-
-
-def _broadcast_attach(pairs, values, id_col: str, payload_cols: list[str]):
-    """Small-values fast path: pull the (gated-small) payload table into ONE
-    sorted Arrow table, ray.put it once, and attach payloads to both pair
-    sides with a vectorized searchsorted per batch.  When the PAIR table
-    dwarfs the payload table (small corpus / low threshold), this beats the
-    shuffle join by avoiding two extra sort exchanges over the pairs."""
-    import ray
-
-    tabs = [t for t in ray.get(values.materialize().to_arrow_refs()) if t.num_rows]
-    t = pa.concat_tables(tabs).combine_chunks()
-    ids = t[id_col].to_numpy(zero_copy_only=False)
-    order = np.argsort(ids)
-    t = t.take(pa.array(order))
-    ref = ray.put((ids[order], t.select(payload_cols)))
-
-    def attach(batch: pa.Table) -> pa.Table:
-        ids_s, vt = ray.get(ref)
-        for side in ("a", "b"):
-            rows = pa.array(
-                np.searchsorted(
-                    ids_s, batch[f"id_{side}"].to_numpy(zero_copy_only=False)
-                )
-            )
-            for c in payload_cols:
-                batch = batch.append_column(f"{c}_{side}", vt[c].take(rows))
-        return batch
-
-    return pairs.map_batches(attach, batch_format="pyarrow")
-
-
 def _attach_pair_payload(pairs, values, id_col: str, payload_cols: list[str],
-                         num_partitions: int,
-                         values_schema: pa.Schema | None = None,
-                         n_values: int | None = None,
-                         values_row_bytes: int | None = None):
-    """Attach per-doc payloads to both pair sides — broadcast when the
-    payload table fits BROADCAST_BYTES (one copy per node, vectorized
-    lookup), distributed hash join otherwise (per-doc state never
-    centralizes past the gate).  This is the standard size-gated
-    broadcast-vs-shuffle join selection."""
-    if (
-        n_values is not None
-        and values_row_bytes is not None
-        and n_values * values_row_bytes <= BROADCAST_BYTES
-    ):
-        return _broadcast_attach(pairs, values, id_col, payload_cols)
-    return _join_pair_payload(pairs, values, id_col, payload_cols,
-                              num_partitions, values_schema)
-
-
-def _join_pair_payload(pairs, values, id_col: str, payload_cols: list[str],
-                       num_partitions: int,
-                       values_schema: pa.Schema | None = None):
-    """Attach per-doc payload columns to BOTH sides of a pair table via two
-    distributed hash joins on doc id (the scale-safe replacement for
-    driver-side payload broadcasts).  ``values``: Dataset with columns
-    (id_col, *payload_cols).  Returns pairs extended with ``{col}_a`` /
-    ``{col}_b``.
-
-    ``pairs`` must be materialized (callers do — they count() it for the
-    empty guard); pass ``values_schema`` when ``values`` is lazy so no
-    implicit execution happens during planning."""
-    ps = pairs.schema()
-    pairs_schema = pa.schema(list(zip(ps.names, ps.types)))
-    if values_schema is None:
-        vs = values.schema()
-        values_schema = pa.schema(list(zip(vs.names, vs.types)))
-    v_types = {n: t for n, t in zip(values_schema.names, values_schema.types)}
-    out = _hash_join(pairs, values, "id_a", id_col,
-                     {c: f"{c}_a" for c in payload_cols}, num_partitions,
-                     left_schema=pairs_schema, right_schema=values_schema)
-    mid_schema = pa.schema(
-        list(zip(pairs_schema.names, pairs_schema.types))
-        + [(f"{c}_a", v_types[c]) for c in payload_cols]
+                         num_partitions: int):
+    """Attach per-doc payload columns (``values``: Dataset with columns
+    ``(id_col, *payload_cols)``) to BOTH sides of a pair table as
+    ``{col}_a`` / ``{col}_b``, through the size-gated
+    :func:`~riot_ray.pipelines.joins._attach_keyed` — broadcast when the
+    payload table is small, two distributed hash joins on doc id when not
+    (per-doc state never centralizes past the gate)."""
+    return _attach_keyed(
+        pairs, values, id_col,
+        [(f"id_{s}", {c: f"{c}_{s}" for c in payload_cols}) for s in "ab"],
+        num_partitions,
     )
-    return _hash_join(out, values, "id_b", id_col,
-                      {c: f"{c}_b" for c in payload_cols}, num_partitions,
-                      left_schema=mid_schema, right_schema=values_schema)
 
 
 def _binary_matrix(col, width: int, dtype) -> np.ndarray:
@@ -507,19 +305,18 @@ def filter_seen(ds, seen, text_col: str = "text", id_col: str = "doc_id",
     Dataset with (d1, d2) digest columns).  Returns the surviving rows
     unchanged.
 
-    Size-gated: under ``BROADCAST_BYTES`` the sorted digest pair arrays
-    broadcast once and membership is a map-side searchsorted; above it,
-    docs and seen digests co-group by digest hash partition and the
-    anti-join resolves per group (both paths pinned equal)."""
+    The seen table joins through the broadcast-or-shuffle gate of
+    :mod:`riot_ray.pipelines.joins`: when it broadcasts, membership is a
+    map-side lookup; when it does not, ``(id, d1, d2)`` doc rows co-group
+    with the seen digests on d1, each partition emits the ids of its
+    matched docs (the overlap — the small side of an incremental
+    delivery), and those ids filter the corpus.  That branch tracks docs
+    by id, so it REQUIRES non-null integer ids (validated)."""
+    import glob as _glob
     import ray
     import ray.data as rd
 
-    from .substr import _pair_member
-
-    num_partitions = _join_parts(num_partitions)
     if isinstance(seen, str):
-        import glob as _glob
-
         # 5-digit pattern: a crashed writer's part=NNNNN.tmp-<uuid> dirs
         # hold UNCOMMITTED (possibly stale-fingerprint) digests and must
         # never be read (same exclusion as checkpoint.read_checkpointed)
@@ -531,100 +328,69 @@ def filter_seen(ds, seen, text_col: str = "text", id_col: str = "doc_id",
     else:
         seen_ds = seen.select_columns(["d1", "d2"])
     seen_ds = seen_ds.materialize()
-    n_seen = seen_ds.count()
 
-    if n_seen * 16 <= BROADCAST_BYTES:
-        if n_seen:
-            tabs = [t for t in ray.get(seen_ds.to_arrow_refs()) if t.num_rows]
-            st = pa.concat_tables(tabs).combine_chunks()
-            s1 = st["d1"].to_numpy(zero_copy_only=False)
-            s2 = st["d2"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((s2, s1))
-            sref = ray.put((s1[order], s2[order]))
-        else:
-            z = np.empty(0, np.int64)
-            sref = ray.put((z, z))
-
-        def drop_seen(batch: pa.Table) -> pa.Table:
-            g1, g2 = ray.get(sref)
-            d1, d2 = _digest_cols(batch[text_col])
-            hit = _pair_member(d1, d2, g1, g2)
-            return batch.filter(pa.array(~hit))
-
-        return ds.map_batches(drop_seen, batch_format="pyarrow")
-
-    # seen set over the gate: co-group docs and digests by d1 hash
-    # partition; a doc survives when its group holds no matching digest.
-    # Schema-aligned union with an explicit role column; this path tracks
-    # dropped docs by id, so it REQUIRES non-null integer ids (validated —
-    # the broadcast path below the gate has no such requirement).
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col]
-        if ids.null_count:
-            raise ValueError(
-                "filter_seen: the co-grouped (over-broadcast-gate) path "
-                f"requires non-null integer {id_col!r} values to track "
-                "dropped docs"
-            )
-        d1, d2 = _digest_cols(batch[text_col])
-        part = (d1.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({
-            id_col: ids.cast(pa.int64()),
-            "__role": pa.array(np.zeros(batch.num_rows, np.int8), pa.int8()),
-            "d1": pa.array(d1, pa.int64()),
-            "d2": pa.array(d2, pa.int64()),
-            "__part": pa.array(part, pa.int32()),
-        })
-
-    def seen_rows(batch: pa.Table) -> pa.Table:
-        d1 = batch["d1"].to_numpy(zero_copy_only=False)
-        part = (d1.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({
-            id_col: pa.nulls(batch.num_rows, pa.int64()),
-            "__role": pa.array(np.ones(batch.num_rows, np.int8), pa.int8()),
-            "d1": batch["d1"],
-            "d2": batch["d2"],
-            "__part": pa.array(part, pa.int32()),
-        })
-
-    both = ds.map_batches(doc_rows, batch_format="pyarrow").union(
-        seen_ds.map_batches(seen_rows, batch_format="pyarrow"))
-
-    def matched(group: pa.Table) -> pa.Table:
-        """Ids of docs whose digest has a seen partner in this group —
-        the OVERLAP, the small side of an incremental delivery (shipping
-        survivors instead would centralize ~every new doc)."""
-        if group.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64())})
-        is_doc = pc.equal(group["__role"], 0)
-        docs_t = group.filter(is_doc)
-        seen_t = group.filter(pc.invert(is_doc))
-        q1 = docs_t["d1"].to_numpy(zero_copy_only=False)
-        q2 = docs_t["d2"].to_numpy(zero_copy_only=False)
-        s1 = seen_t["d1"].to_numpy(zero_copy_only=False)
-        s2 = seen_t["d2"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((s2, s1))
-        hit = _pair_member(q1, q2, s1[order], s2[order])
-        return pa.table({id_col: docs_t[id_col].filter(pa.array(hit))})
-
-    dropped = both.groupby("__part").map_groups(matched, batch_format="pyarrow")
-    from .sampling import lookup_sorted
-
+    table = _small_table(seen_ds)
+    if table is not None:
+        return _broadcast(ds, _sorted_digests(table), _drop_seen, text_col)
+    doc_schema = pa.schema([(id_col, pa.int64()), ("d1", pa.int64()),
+                            ("d2", pa.int64())])
+    dropped = _cogroup(
+        ds.map_batches(_digest_rows, batch_format="pyarrow",
+                       fn_args=(text_col, id_col)),
+        seen_ds, "d1", "d1", _seen_ids, id_col,
+        num_partitions=num_partitions, left_schema=doc_schema,
+        right_schema=pa.schema(list(doc_schema)[1:]),
+    )
     tabs = [t for t in ray.get(dropped.materialize().to_arrow_refs())
             if t.num_rows]
     if not tabs:
         return ds
-    drop_ids = np.sort(np.concatenate(
-        [t[id_col].to_numpy(zero_copy_only=False) for t in tabs]))
-    dref = ray.put(drop_ids)
+    return _member_filter(ds, pa.concat_tables(tabs)[id_col].to_numpy(),
+                          id_col, keep=False)
 
-    def keep_rows(batch: pa.Table) -> pa.Table:
-        g = ray.get(dref)
-        bid = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, hit = lookup_sorted(g, bid)
-        return batch.filter(pa.array(~hit))
 
-    return ds.map_batches(keep_rows, batch_format="pyarrow")
+def _sorted_digests(seen: pa.Table):
+    """(d1, d2) of a digest table, lexsorted for ``_pair_member``."""
+    s1 = seen["d1"].to_numpy(zero_copy_only=False)
+    s2 = seen["d2"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((s2, s1))
+    return s1[order], s2[order]
+
+
+def _drop_seen(batch: pa.Table, seen, text_col: str) -> pa.Table:
+    """Broadcast branch of :func:`filter_seen`: the batch minus its seen
+    docs."""
+    from .substr import _pair_member
+
+    d1, d2 = _digest_cols(batch[text_col])
+    return batch.filter(pa.array(~_pair_member(d1, d2, *seen)))
+
+
+def _digest_rows(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
+    """The ``(id, d1, d2)`` rows :func:`filter_seen` ships when it
+    co-groups."""
+    ids = batch[id_col]
+    if ids.null_count:
+        raise ValueError(
+            "filter_seen: the co-grouped (over-broadcast-gate) path "
+            f"requires non-null integer {id_col!r} values to track "
+            "dropped docs"
+        )
+    d1, d2 = _digest_cols(batch[text_col])
+    return pa.table({id_col: ids.cast(pa.int64()),
+                     "d1": pa.array(d1, pa.int64()),
+                     "d2": pa.array(d2, pa.int64())})
+
+
+def _seen_ids(docs: pa.Table, seen: pa.Table, id_col: str) -> pa.Table:
+    """Cogrouped branch of :func:`filter_seen`: ids of this partition's
+    docs whose digest is seen."""
+    from .substr import _pair_member
+
+    hit = _pair_member(docs["d1"].to_numpy(zero_copy_only=False),
+                       docs["d2"].to_numpy(zero_copy_only=False),
+                       *_sorted_digests(seen))
+    return docs.select([id_col]).filter(pa.array(hit))
 
 
 def line_dedup(
@@ -1104,14 +870,10 @@ def ngram_jaccard_pairs(
         .materialize()
     )
 
-    # per-doc shingle counts attached to both pair sides — broadcast under
-    # the 64 MB gate (two int64s per doc => broadcast up to ~4e6 docs), a
-    # distributed hash join past it; never an ungated driver table
-    joined = _attach_pair_payload(
-        inter, sizes, id_col, ["n_shingles"], num_partitions,
-        values_schema=pa.schema([(id_col, pa.int64()), ("n_shingles", pa.int64())]),
-        n_values=sizes.count(), values_row_bytes=16,
-    )
+    # per-doc shingle counts attached to both pair sides, size-gated;
+    # never an ungated driver table
+    joined = _attach_pair_payload(inter, sizes, id_col, ["n_shingles"],
+                                  num_partitions)
 
     def score(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False)
@@ -1272,23 +1034,11 @@ def dedup_filter(ds, pairs_ds, id_col: str = "doc_id"):
     keep one representative (min id) per duplicate cluster plus every
     singleton.  The loser set (small) is broadcast once via ray.put; the
     corpus-wide filter is a distributed map_batches anti-join."""
-    import ray
-
     members = dedup_clusters(pairs_ds).to_pandas()
     losers = members.loc[
         members["doc_id"] != members["cluster_id"], "doc_id"
     ].to_numpy(np.int64)
-    losers_ref = ray.put(np.sort(losers))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        from .sampling import lookup_sorted
-
-        drop = ray.get(losers_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, hit = lookup_sorted(drop, ids)
-        return batch.filter(pa.array(~hit))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return _member_filter(ds, losers, id_col, keep=False)
 
 
 def dedup_filter_by(ds, pairs_ds, score_col: str, id_col: str = "doc_id",
@@ -1301,31 +1051,16 @@ def dedup_filter_by(ds, pairs_ds, score_col: str, id_col: str = "doc_id",
     scores (fetched via one vectorized filter pass, never the corpus); the
     loser set broadcasts once and the corpus streams through an anti-join
     filter.  Deterministic for integer scores (ties -> smaller id)."""
-    import ray
-
     members = dedup_clusters(pairs_ds).to_pandas()
     if len(members) == 0:
         return ds
-    member_ids = np.sort(members["doc_id"].to_numpy(np.int64))
-    mref = ray.put(member_ids)
-
-    def member_scores(batch: pa.Table) -> pa.Table:
-        from .sampling import lookup_sorted
-
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, hit = lookup_sorted(ray.get(mref), ids)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[hit], pa.int64()),
-                "score": pa.array(
-                    batch[score_col].to_numpy(zero_copy_only=False)[hit]
-                    .astype(np.float64),
-                    pa.float64(),
-                ),
-            }
-        )
-
-    scores = ds.map_batches(member_scores, batch_format="pyarrow").to_pandas()
+    scores = (
+        _member_filter(ds, members["doc_id"].to_numpy(np.int64), id_col,
+                       keep=True)
+        .select_columns([id_col, score_col]).to_pandas()
+        .rename(columns={id_col: "doc_id", score_col: "score"})
+        .astype({"doc_id": np.int64, "score": np.float64})
+    )
     m = members.merge(scores, on="doc_id", how="left")
     sgn = -1.0 if descending else 1.0
     # Sign-aware sentinel: a cluster member with no score row must LOSE
@@ -1340,21 +1075,9 @@ def dedup_filter_by(ds, pairs_ds, score_col: str, id_col: str = "doc_id",
     first = np.unique(m["cluster_id"].to_numpy()[order], return_index=True)[1]
     member_arr = m["doc_id"].to_numpy(np.int64)
     winners = np.sort(member_arr[order[first]])
-    from .sampling import lookup_sorted as _ls
-
-    _, is_winner = _ls(winners, member_arr)
-    losers = np.unique(member_arr[~is_winner])
-    losers_ref = ray.put(losers)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        from .sampling import lookup_sorted
-
-        drop = ray.get(losers_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, hit = lookup_sorted(drop, ids)
-        return batch.filter(pa.array(~hit))
-
-    return ds.map_batches(keep, batch_format="pyarrow")
+    _, is_winner = lookup_sorted(winners, member_arr)
+    return _member_filter(ds, np.unique(member_arr[~is_winner]), id_col,
+                          keep=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -1484,10 +1207,8 @@ def minhash_lsh_pairs(
     if uniq.count() == 0:
         return rd.from_arrow(_empty_pairs(("est_jaccard", pa.float64())))
 
-    joined = _attach_pair_payload(
-        uniq, sigs, id_col, ["sig"], _join_parts(join_partitions),
-        n_values=sigs.count(), values_row_bytes=num_perm * 8 + 8,
-    )
+    joined = _attach_pair_payload(uniq, sigs, id_col, ["sig"],
+                                  _join_parts(join_partitions))
 
     def verify(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False)
@@ -1578,10 +1299,8 @@ def minhash_lsh_exact_pairs(
         return rd.from_arrow(_empty_pairs(("jaccard", pa.float64())))
 
     sets = _shingle_set_table(ds, text_col, id_col, n).materialize()
-    joined = _attach_pair_payload(
-        cands, sets, id_col, ["shset"], _join_parts(join_partitions),
-        n_values=sets.count(), values_row_bytes=2048,
-    )
+    joined = _attach_pair_payload(cands, sets, id_col, ["shset"],
+                                  _join_parts(join_partitions))
 
     def verify(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False)
@@ -1693,10 +1412,8 @@ def simhash_pairs(
     if uniq.count() == 0:
         return rd.from_arrow(_empty_pairs(("hamming", pa.int64())))
 
-    joined = _attach_pair_payload(
-        uniq, sims, id_col, ["simhash"], _join_parts(join_partitions),
-        n_values=sims.count(), values_row_bytes=16,
-    )
+    joined = _attach_pair_payload(uniq, sims, id_col, ["simhash"],
+                                  _join_parts(join_partitions))
 
     def verify(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False)
@@ -1871,13 +1588,8 @@ def embedding_dup_pairs_lsh(
     if uniq.count() == 0:
         return rd.from_arrow(_empty_pairs(("cosine", pa.float64())))
 
-    nv = vecs.count()
-    # row bytes = id + packed f64 vector; read dim off the first row
-    dim_bytes = len(vecs.take(1)[0]["nvec"]) if nv else 0
-    joined = _attach_pair_payload(
-        uniq, vecs, id_col, ["nvec"], _join_parts(join_partitions),
-        n_values=nv, values_row_bytes=dim_bytes + 8,
-    )
+    joined = _attach_pair_payload(uniq, vecs, id_col, ["nvec"],
+                                  _join_parts(join_partitions))
 
     def verify(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False)
@@ -2032,32 +1744,23 @@ def filter_ids(ds, ids, id_col: str = "doc_id", keep: bool = False):
     blocklist; never a corpus-sized survivor list).  The set broadcasts
     once via ``ray.put`` as a sorted array and every batch filters with
     one searchsorted pass — the corpus itself never shuffles.  The
-    broadcast gate is ENFORCED: an id set over ``BROADCAST_BYTES`` raises
-    instead of silently ballooning every worker's heap — for big sets use
-    the co-grouped shape (:func:`filter_seen` for digests, or invert the
-    sides so the small set is the one that ships)."""
-    import ray
-
+    broadcast gate of :mod:`riot_ray.pipelines.joins` is ENFORCED: an id
+    set over it raises instead of silently ballooning every worker's heap
+    — for big sets use the co-grouped shape (:func:`filter_seen` for
+    digests, or invert the sides so the small set is the one that
+    ships)."""
     if not isinstance(ids, np.ndarray):
         ids = ids.to_pandas()[id_col].to_numpy(np.int64)
     ids = ids.astype(np.int64)
-    if ids.nbytes > BROADCAST_BYTES:
+    gate = _gate_bytes()
+    if ids.nbytes > gate:
         raise ValueError(
             f"filter_ids: {len(ids)} ids = {ids.nbytes >> 20} MB exceeds "
-            f"the broadcast gate ({BROADCAST_BYTES >> 20} MB); pass the "
-            "SMALL side (e.g. semdedup(emit='dropped')) or use a "
-            "co-grouped anti-join (filter_seen's shape)"
+            f"the broadcast gate ({gate >> 20} MB); pass the SMALL side "
+            "(e.g. semdedup(emit='dropped')) or use a co-grouped anti-join "
+            "(filter_seen's shape)"
         )
-    ref = ray.put(np.sort(ids))
-
-    def flt(batch: pa.Table) -> pa.Table:
-        from .sampling import lookup_sorted
-
-        bid = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, hit = lookup_sorted(ray.get(ref), bid)
-        return batch.filter(pa.array(hit if keep else ~hit))
-
-    return ds.map_batches(flt, batch_format="pyarrow")
+    return _member_filter(ds, ids, id_col, keep)
 
 
 # --------------------------------------------------------------------------- #

@@ -262,8 +262,11 @@ class MediaResizeStage:
 def decode_media(ds, decode: str = "fake", concurrency: int = 2, batch_size: int = 16):
     """Actor-pool decode: callable CLASS + concurrency => one decoder per
     actor, small batches for large payloads.  (1, N) autoscaling pool: a
-    fixed int pool deadlocks when the cluster has fewer free CPUs than N."""
-    return ds.map_batches(
+    fixed int pool deadlocks when the cluster has fewer free CPUs than N.
+    The input is materialized first: a pool's first actor holds its CPU,
+    so on a one-CPU cluster the tasks that read the input would never
+    run."""
+    return ds.materialize().map_batches(
         MediaDecodeStage,
         fn_constructor_kwargs={"decode": decode},
         batch_format="pyarrow",
@@ -274,7 +277,9 @@ def decode_media(ds, decode: str = "fake", concurrency: int = 2, batch_size: int
 
 def resize_media(ds, target_w: int = 16, target_h: int = 16, concurrency: int = 2,
                  batch_size: int = 16, decode: str = "fake"):
-    return ds.map_batches(
+    """Actor-pool resize, shaped like :func:`decode_media` (input
+    materialized first, (1, N) pool)."""
+    return ds.materialize().map_batches(
         MediaResizeStage,
         fn_constructor_kwargs={"target_w": target_w, "target_h": target_h,
                                "decode": decode},

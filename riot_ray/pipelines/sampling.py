@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 
 from ..hashing import hex_digest, id_strings, u64
 from ..query import lookup_sorted
+from .joins import _member_filter
 
 TWO64 = float(2**64)
 
@@ -71,8 +72,6 @@ def stratified_cap(
     """Keep at most ``max_per_key`` rows per key — the rows with the
     smallest id-hashes (ties impossible: md5 of distinct ids).  Equalizes
     over-represented sources/domains without a full shuffle."""
-    import ray
-
     def partial_topn(batch: pa.Table) -> pa.Table:
         """Per-batch, per-key N smallest (hash, id) — bounded output."""
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -108,16 +107,8 @@ def stratified_cap(
     winners = (
         partials.groupby("key").map_groups(final_topn, batch_format="pyarrow")
     )
-    ids = winners.to_pandas()["id"].to_numpy()
-    keep_ref = ray.put(np.sort(ids))
-
-    def filter_rows(batch: pa.Table) -> pa.Table:
-        keep_sorted = ray.get(keep_ref)
-        ids_b = batch[id_col].to_numpy(zero_copy_only=False)
-        _, mask = lookup_sorted(keep_sorted, ids_b)
-        return batch.filter(pa.array(np.asarray(mask, bool)))
-
-    return ds.map_batches(filter_rows, batch_format="pyarrow")
+    return _member_filter(ds, winners.to_pandas()["id"].to_numpy(), id_col,
+                          keep=True, dtype=None)
 
 
 def token_budget_sample(
@@ -229,8 +220,6 @@ def top_k_per_group(
     groupby over the partials, winner-id set broadcast back as a filter;
     the corpus itself never shuffles.  Ties break to the smaller id, so
     the result is deterministic for integer scores."""
-    import ray
-
     sgn = -1.0 if descending else 1.0
 
     def partial_topk(batch: pa.Table) -> pa.Table:
@@ -268,15 +257,8 @@ def top_k_per_group(
         .groupby("key")
         .map_groups(final_topk, batch_format="pyarrow")
     )
-    keep_ref = ray.put(np.sort(winners.to_pandas()["id"].to_numpy()))
-
-    def filter_rows(batch: pa.Table) -> pa.Table:
-        keep_sorted = ray.get(keep_ref)
-        ids_b = batch[id_col].to_numpy(zero_copy_only=False)
-        _, mask = lookup_sorted(keep_sorted, ids_b)
-        return batch.filter(pa.array(np.asarray(mask, bool)))
-
-    return ds.map_batches(filter_rows, batch_format="pyarrow")
+    return _member_filter(ds, winners.to_pandas()["id"].to_numpy(), id_col,
+                          keep=True, dtype=None)
 
 
 def pack_sequences(

@@ -26,12 +26,12 @@ Scale shape (the reason this form was chosen over the suffix array):
   collisions are ignorable at any corpus size — same argument as
   line_dedup's md5 pair) through ONE hash-partitioned shuffle, with
   per-batch combining; the window *strings* never leave the worker.
-* the surviving duplicated-window keys attach size-gated (same contract
-  as unigram_logprob): broadcast as sorted arrays under
-  ``BROADCAST_BYTES``, else the window stream hash-joins the key table
-  on h1 (unique among dup keys up to a ~2^-64-per-pair birthday term —
-  the documented fallback-path assumption; the broadcast path is exact
-  on the full 128 bits).
+* the surviving duplicated-window keys attach through the
+  broadcast-or-shuffle gate of :mod:`riot_ray.pipelines.joins`: broadcast
+  as sorted arrays, else the window stream hash-joins the key table on h1
+  (unique among dup keys up to a ~2^-64-per-pair birthday term — the
+  documented fallback-path assumption; the broadcast path is exact on the
+  full 128 bits).
 * span merge is per-doc and MAP-SIDE on the broadcast path — each doc's
   windows live in its own batch, so no second shuffle; the join path
   re-groups only the (rare) duplicated windows by doc hash partition.
@@ -191,9 +191,7 @@ def _candidate_filter(ds, min_len: int, text_col: str, num_partitions: int):
     dataset, or ``ds`` unchanged when the dup-anchor set exceeds the
     broadcast gate (heavy-dup corpus: everything is a candidate anyway,
     the exact pass carries it)."""
-    import ray
-
-    from .dedup import BROADCAST_BYTES
+    from .joins import _broadcast, _small_table
 
     def partial(batch: pa.Table) -> pa.Table:
         cp, lens = _codepoints(batch[text_col])
@@ -220,44 +218,41 @@ def _candidate_filter(ds, min_len: int, text_col: str, num_partitions: int):
         .map_groups(dups_only, batch_format="pyarrow")
         .materialize()
     )
-    if keys.count() * 8 > BROADCAST_BYTES:
+    table = _small_table(keys)
+    if table is None:
         return ds  # candidate set ~ everything; skip the prefilter
-    tabs = [t for t in ray.get(keys.to_arrow_refs()) if t.num_rows]
-    if not tabs:
+    if not table.num_rows:
         # no dup anchors anywhere: provably no spans
         return ds.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
-    anchors = np.sort(
-        pa.concat_tables(tabs)["h"].to_numpy(zero_copy_only=False)
-        .view(np.uint64)
-    )
-    aref = ray.put(anchors)
+    anchors = np.sort(table["h"].to_numpy().view(np.uint64))
+    return _broadcast(ds, anchors, _keep_candidates, min_len, text_col)
 
-    def keep(batch: pa.Table) -> pa.Table:
-        g_a = ray.get(aref)
-        cp, lens = _codepoints(batch[text_col])
-        k = min_len // 2
-        w = min_len - k + 1
-        mask = np.zeros(batch.num_rows, bool)
-        n = len(cp)
-        if n >= k and len(lens):
-            ins, p, _pos = _window_parents(lens, n, k)
-            h1 = _roll(cp, k, _B1, _B1_INV)[ins]
-        else:
-            h1 = np.empty(0, np.uint64)
-            p = np.empty(0, np.int64)
-        m = len(h1)
-        if m >= w:
-            win = np.lib.stride_tricks.sliding_window_view(h1, w)
-            sel = np.arange(m - w + 1) + np.argmin(win, axis=1)
-            inside = p[w - 1:] == p[: m - w + 1]
-            sel = np.unique(sel[inside])
-            pos = np.searchsorted(g_a, h1[sel])
-            ok = pos < len(g_a)
-            ok[ok] = g_a[pos[ok]] == h1[sel][ok]
-            mask[p[sel[ok]]] = True
-        return batch.filter(pa.array(mask))
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+def _keep_candidates(batch: pa.Table, anchors: np.ndarray, min_len: int,
+                     text_col: str) -> pa.Table:
+    """Rows of ``batch`` holding a winnowed anchor in ``anchors``."""
+    cp, lens = _codepoints(batch[text_col])
+    k = min_len // 2
+    w = min_len - k + 1
+    mask = np.zeros(batch.num_rows, bool)
+    n = len(cp)
+    if n >= k and len(lens):
+        ins, p, _pos = _window_parents(lens, n, k)
+        h1 = _roll(cp, k, _B1, _B1_INV)[ins]
+    else:
+        h1 = np.empty(0, np.uint64)
+        p = np.empty(0, np.int64)
+    m = len(h1)
+    if m >= w:
+        win = np.lib.stride_tricks.sliding_window_view(h1, w)
+        sel = np.arange(m - w + 1) + np.argmin(win, axis=1)
+        inside = p[w - 1:] == p[: m - w + 1]
+        sel = np.unique(sel[inside])
+        pos = np.searchsorted(anchors, h1[sel])
+        ok = pos < len(anchors)
+        ok[ok] = anchors[pos[ok]] == h1[sel][ok]
+        mask[p[sel[ok]]] = True
+    return batch.filter(pa.array(mask))
 
 
 def _dup_keys(ds, min_len: int, text_col: str, num_partitions: int):
@@ -349,10 +344,12 @@ def dup_spans(
       dominates.  Kept as the debug/reference plan.
     * ``None`` (default) — auto: materialize the input (both plans scan
       it at least twice, so pinning blocks is free) and enable the
-      prefilter at >= ``PREFILTER_AUTO_ROWS`` docs (VERDICT r3 #6)."""
-    import ray
+      prefilter at >= ``PREFILTER_AUTO_ROWS`` docs (VERDICT r3 #6).
 
-    from .dedup import BROADCAST_BYTES, _hash_join, _join_parts
+    The key table attaches through the broadcast-or-shuffle gate of
+    :mod:`riot_ray.pipelines.joins`; the two branches ship different
+    left rows, so each keeps its own kernel."""
+    from .joins import _broadcast, _hash_join, _join_parts, _small_table
 
     num_partitions = _join_parts(num_partitions)
     if prefilter is None:
@@ -361,29 +358,13 @@ def dup_spans(
     if prefilter and min_len >= 4:
         ds = _candidate_filter(ds, min_len, text_col, num_partitions)
     keys = _dup_keys(ds, min_len, text_col, num_partitions).materialize()
-    n_keys = keys.count()
-
-    if n_keys * 16 <= BROADCAST_BYTES:
-        tabs = [t for t in ray.get(keys.to_arrow_refs()) if t.num_rows]
-        if tabs:
-            kt = pa.concat_tables(tabs).combine_chunks()
-            k1 = kt["h1"].to_numpy(zero_copy_only=False).view(np.uint64)
-            k2 = kt["h2"].to_numpy(zero_copy_only=False).view(np.uint64)
-            order = np.lexsort((k2, k1))
-            kref = ray.put((k1[order], k2[order]))
-        else:
-            kref = ray.put((np.empty(0, np.uint64), np.empty(0, np.uint64)))
-
-        def mark(batch: pa.Table) -> pa.Table:
-            s1, s2 = ray.get(kref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            cp, lens = _codepoints(batch[text_col])
-            h1, h2, p, pos = _window_hashes(cp, lens, min_len)
-            hit = _pair_member(h1, h2, s1, s2)
-            # windows are generated in (row, pos) stream order already
-            return _merge_spans(ids[p[hit]], pos[hit], min_len)
-
-        return ds.map_batches(mark, batch_format="pyarrow")
+    table = _small_table(keys)
+    if table is not None:
+        k1 = table["h1"].to_numpy().view(np.uint64)
+        k2 = table["h2"].to_numpy().view(np.uint64)
+        order = np.lexsort((k2, k1))
+        return _broadcast(ds, (k1[order], k2[order]), _mark_spans,
+                          id_col, text_col, min_len)
 
     # over the broadcast gate: ship (h1, h2, packed (doc,pos)) window rows
     # through a hash join against the key table, then span-merge per doc
@@ -407,16 +388,9 @@ def dup_spans(
 
     win_schema = pa.schema([("h1", pa.int64()), ("h2", pa.int64()),
                             ("pack", pa.int64())])
-    joined = _hash_join(
-        ds.map_batches(explode, batch_format="pyarrow"),
-        keys.map_batches(
-            lambda b: pa.table({"h1": b["h1"], "h2k": b["h2"]}),
-            batch_format="pyarrow",
-        ),
-        "h1", "h1", {"h2k": "h2k"}, num_partitions,
-        left_schema=win_schema,
-        right_schema=pa.schema([("h1", pa.int64()), ("h2k", pa.int64())]),
-    )
+    joined = _hash_join(ds.map_batches(explode, batch_format="pyarrow"),
+                        keys, "h1", "h1", {"h2": "h2k"}, num_partitions,
+                        left_schema=win_schema)
 
     def tag(batch: pa.Table) -> pa.Table:
         h2 = batch["h2"].to_numpy(zero_copy_only=False)
@@ -438,6 +412,18 @@ def dup_spans(
         .groupby("__dpart")
         .map_groups(spans_per_part, batch_format="pyarrow")
     )
+
+
+def _mark_spans(batch: pa.Table, keys, id_col: str, text_col: str,
+                min_len: int) -> pa.Table:
+    """Broadcast branch of :func:`dup_spans`: the spans of this batch's
+    docs, merged from its windows found in the lexsorted ``keys``."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    cp, lens = _codepoints(batch[text_col])
+    h1, h2, p, pos = _window_hashes(cp, lens, min_len)
+    hit = _pair_member(h1, h2, *keys)
+    # windows are generated in (row, pos) stream order already
+    return _merge_spans(ids[p[hit]], pos[hit], min_len)
 
 
 def _cut(id_col: str, ids: np.ndarray, lens: np.ndarray, cp: np.ndarray,
@@ -486,84 +472,39 @@ def dup_span_clean(
     """Documents with every duplicated span cut out:
     ``(doc_id, text_clean, n_removed)``; every input doc emits one row
     (``n_removed`` = chars cut, 0 for untouched docs).  Spans attach
-    size-gated: broadcast sorted span arrays under ``BROADCAST_BYTES``
-    (coverage is then a vectorized diff-array cut, no second shuffle),
-    else docs and spans co-group by doc hash partition."""
-    import ray
-
-    from .dedup import BROADCAST_BYTES, _join_parts
+    through the broadcast-or-shuffle gate of
+    :mod:`riot_ray.pipelines.joins`; :func:`_cut` runs against the whole
+    span table when it broadcasts, and per doc-id partition when docs and
+    spans co-group."""
+    from .joins import _broadcast, _cogroup, _join_parts, _small_table
 
     num_partitions = _join_parts(num_partitions)
     spans = dup_spans(ds, min_len, text_col, id_col,
                       num_partitions=num_partitions).materialize()
-    n_spans = spans.count()
-
-    if n_spans * 32 <= BROADCAST_BYTES:
-        if n_spans:
-            tabs = [t for t in ray.get(spans.to_arrow_refs()) if t.num_rows]
-            st = pa.concat_tables(tabs).combine_chunks()
-            sref = ray.put((
-                st["doc_id"].to_numpy(zero_copy_only=False),
-                st["span_start"].to_numpy(zero_copy_only=False),
-                st["span_end"].to_numpy(zero_copy_only=False),
-            ))
-        else:
-            z = np.empty(0, np.int64)
-            sref = ray.put((z, z, z))
-
-        def clean(batch: pa.Table) -> pa.Table:
-            sd, ss, se = ray.get(sref)
-            ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            cp, lens = _codepoints(batch[text_col])
-            return _cut(id_col, ids, lens, cp, sd, ss, se)
-
-        return ds.map_batches(clean, batch_format="pyarrow")
-
-    # spans too large to broadcast: co-group docs and spans by doc hash
-    # partition (schema-aligned union, split again inside the group).
-    # Null span_start marks a doc row.
-    def doc_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = (ids.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        n = len(ids)
-        return pa.table({
-            id_col: pa.array(ids, pa.int64()),
-            "span_start": pa.nulls(n, pa.int64()),
-            "span_end": pa.nulls(n, pa.int64()),
-            "text": pc.fill_null(batch[text_col].cast(pa.string()), ""),
-            "__dpart": pa.array(part, pa.int32()),
-        })
-
-    def span_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        part = (ids.view(np.uint64) % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({
-            id_col: batch["doc_id"],
-            "span_start": batch["span_start"],
-            "span_end": batch["span_end"],
-            "text": pa.nulls(batch.num_rows, pa.string()),
-            "__dpart": pa.array(part, pa.int32()),
-        })
-
-    both = ds.map_batches(doc_rows, batch_format="pyarrow").union(
-        spans.map_batches(span_rows, batch_format="pyarrow")
+    docs = ds.map_batches(_doc_rows, batch_format="pyarrow",
+                          fn_args=(id_col, text_col))
+    table = _small_table(spans)
+    if table is not None:
+        return _broadcast(docs, table, _cut_spans, id_col, text_col)
+    return _cogroup(
+        docs, spans, id_col, "doc_id", _cut_spans, id_col, text_col,
+        num_partitions=num_partitions,
+        left_schema=pa.schema([(id_col, pa.int64()), (text_col, pa.string())]),
+        right_schema=_SPAN_SCHEMA,
     )
 
-    def clean_group(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "text_clean": pa.array([], pa.string()),
-                             "n_removed": pa.array([], pa.int64())})
-        is_doc = pc.is_valid(group["text"])
-        docs_t = group.filter(is_doc)
-        spans_t = group.filter(pc.invert(is_doc))
-        ids = docs_t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cp, lens = _codepoints(docs_t["text"])
-        return _cut(
-            id_col, ids, lens, cp,
-            spans_t[id_col].to_numpy(zero_copy_only=False),
-            spans_t["span_start"].to_numpy(zero_copy_only=False),
-            spans_t["span_end"].to_numpy(zero_copy_only=False),
-        )
 
-    return both.groupby("__dpart").map_groups(clean_group, batch_format="pyarrow")
+def _doc_rows(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    """The ``(id, text)`` columns :func:`dup_span_clean` cuts."""
+    return pa.table({id_col: batch[id_col].cast(pa.int64()),
+                     text_col: batch[text_col].cast(pa.string())})
+
+
+def _cut_spans(docs: pa.Table, spans: pa.Table, id_col: str,
+               text_col: str) -> pa.Table:
+    """:func:`_cut` of a doc table by a span table."""
+    ids = docs[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    cp, lens = _codepoints(docs[text_col])
+    return _cut(id_col, ids, lens, cp,
+                *(spans[c].to_numpy(zero_copy_only=False)
+                  for c in ("doc_id", "span_start", "span_end")))

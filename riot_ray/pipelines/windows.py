@@ -496,18 +496,15 @@ def funnel_counts(ds, steps, horizon_s: int,
 
     Scale shape — one cheap streaming pass per step, never a raw-event
     groupby: each pass filters the step's events, restricts them to users
-    still in the funnel (size-gated: the survivor table broadcasts under
-    ``BROADCAST_BYTES``, above it a distributed hash join ships only
-    (user, t_prev, t1)), and reduces per-batch per-user MIN partials
+    still in the funnel (the survivor table ``(user, t_prev, t1)``
+    attaches through the broadcast-or-shuffle gate of
+    :mod:`riot_ray.pipelines.joins`), and reduces per-batch per-user MIN
+    partials
     through a hash-partitioned groupby — the shuffle carries one row per
     (batch, user), so a bot user with 10^9 events still ships one partial
     per batch, not a timeline.  The survivor set shrinks monotonically
     step over step."""
-    import ray
-
-    from .dedup import BROADCAST_BYTES, _join_parts
-    from .joins import hash_join
-    from .sampling import lookup_sorted
+    from .joins import _attach_keyed, _join_parts
 
     steps = list(steps)
     if len(steps) < 1:
@@ -567,6 +564,18 @@ def funnel_counts(ds, steps, horizon_s: int,
         return pa.table({user_col: batch[user_col], "t": batch["t"],
                          "t1": batch["t"]})
 
+    def gate(batch: pa.Table) -> pa.Table:
+        """Step events strictly after the user's previous step and within
+        the horizon of their first."""
+        t = batch["t"].to_numpy(zero_copy_only=False)
+        tp = batch["t_prev"].to_numpy(zero_copy_only=False)
+        t1 = batch["t1_prev"].to_numpy(zero_copy_only=False)
+        ok = (t > tp) & (t <= t1 + horizon_us)
+        u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({user_col: pa.array(u[ok], pa.int64()),
+                         "t": pa.array(t[ok], pa.int64()),
+                         "t1": pa.array(t1[ok], pa.int64())})
+
     prev = _per_user_min(_step_rows(steps[0])).map_batches(
         fix_t1, batch_format="pyarrow").materialize()
     n_users = [prev.count()]
@@ -575,47 +584,11 @@ def funnel_counts(ds, steps, horizon_s: int,
         if n_users[-1] == 0:
             n_users.append(0)
             continue
-        if n_users[-1] * 24 <= BROADCAST_BYTES:
-            tabs = [t for t in ray.get(prev.to_arrow_refs()) if t.num_rows]
-            pt = pa.concat_tables(tabs).combine_chunks()
-            pu = pt[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.argsort(pu)
-            ref = ray.put((pu[order],
-                           pt["t"].to_numpy(zero_copy_only=False)[order],
-                           pt["t1"].to_numpy(zero_copy_only=False)[order]))
-
-            def gate(batch: pa.Table, _step=step_name) -> pa.Table:
-                users_s, tprev_s, t1_s = ray.get(ref)
-                keep = pc.equal(batch[type_col], _step)
-                b = batch.filter(keep)
-                t = _epoch_us(b, ts_col)
-                u = b[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
-                pos, hit = lookup_sorted(users_s, u)
-                ok = hit & (t > tprev_s[pos]) & (t <= t1_s[pos] + horizon_us)
-                return pa.table({user_col: pa.array(u[ok], pa.int64()),
-                                 "t": pa.array(t[ok], pa.int64()),
-                                 "t1": pa.array(t1_s[pos][ok], pa.int64())})
-
-            cand = ds.map_batches(gate, batch_format="pyarrow")
-        else:
-            joined = hash_join(
-                _step_rows(step_name), prev, user_col, user_col,
-                payload={"t": "t_prev", "t1": "t1_prev"},
-                left_schema=row_schema,
-                right_schema=row_schema,
-            )
-
-            def gate(batch: pa.Table) -> pa.Table:
-                t = batch["t"].to_numpy(zero_copy_only=False)
-                tp = batch["t_prev"].to_numpy(zero_copy_only=False)
-                t1 = batch["t1_prev"].to_numpy(zero_copy_only=False)
-                ok = (t > tp) & (t <= t1 + horizon_us)
-                u = batch[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
-                return pa.table({user_col: pa.array(u[ok], pa.int64()),
-                                 "t": pa.array(t[ok], pa.int64()),
-                                 "t1": pa.array(t1[ok], pa.int64())})
-
-            cand = joined.map_batches(gate, batch_format="pyarrow")
+        joined = _attach_keyed(
+            _step_rows(step_name), prev, user_col,
+            [(user_col, {"t": "t_prev", "t1": "t1_prev"})],
+            num_partitions, left_schema=row_schema)
+        cand = joined.map_batches(gate, batch_format="pyarrow")
         prev = _per_user_min(cand).materialize()
         n_users.append(prev.count())
 

@@ -1270,6 +1270,32 @@ def test_hash_join_rejects_non_unique_right(ray_session):
         broadcast_join(big, dim, "k", "k")
 
 
+def test_one_broadcast_gate():
+    """Only riot_ray/pipelines/joins.py decides broadcast vs shuffle: no
+    other pipeline module names the gate, builds a role-tagged union, or
+    compares a row count times a per-row byte guess against a gate."""
+    import glob
+    import os
+    import re
+
+    gate = re.compile(
+        r"BROADCAST_BYTES|[\"']__role[\"']"
+        r"|\*\s*\d+\s*(<=|>=|<|>)\s*\w*(bytes|gate)"
+        r"|(bytes|gate)\w*(\(\))?\s*(<=|>=|<|>)\s*[\w.\[\]()-]+\s*\*\s*\d+",
+        re.I)
+    pkg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "riot_ray", "pipelines")
+    bad = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        if os.path.basename(path) == "joins.py":
+            continue
+        with open(path, encoding="utf-8") as f:
+            for n, line in enumerate(f, 1):
+                if gate.search(line):
+                    bad.append(f"{os.path.basename(path)}:{n}: {line.strip()}")
+    assert not bad, "\n".join(bad)
+
+
 def test_doc_key_tf_rows():
     from riot_ray.pipelines.analysis import _doc_key_tf
 
@@ -1613,7 +1639,6 @@ def test_pair_verify_shuffle_equals_broadcast(ray_session, monkeypatch, op):
     import ray.data as rd
 
     import riot_ray.pipelines as p
-    import riot_ray.pipelines.dedup as dd
 
     ds = rd.from_arrow(_dup_corpus()).repartition(2)
     vs = rd.from_arrow(_planted_vecs()).repartition(2)
@@ -1625,7 +1650,7 @@ def test_pair_verify_shuffle_equals_broadcast(ray_session, monkeypatch, op):
 
     broadcast = run()
     assert len(next(iter(broadcast.values()))) > 0
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the hash-join path
     assert run() == broadcast
 
 
@@ -2272,7 +2297,6 @@ def _with_empty_doc(docs_ds):
 
 
 def test_unigram_logprob_join_path_matches_broadcast(docs_ds, monkeypatch):
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import unigram_logprob
 
     ds = _with_empty_doc(docs_ds)
@@ -2282,7 +2306,7 @@ def test_unigram_logprob_join_path_matches_broadcast(docs_ds, monkeypatch):
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the hash-join path
     joined = (
         unigram_logprob(ds)
         .to_pandas()
@@ -2343,11 +2367,10 @@ def test_tfidf_topk_matches_sql(docs_ds):
 
 
 def test_tfidf_topk_join_path_matches_broadcast(docs_ds, monkeypatch):
-    import riot_ray.pipelines.dedup as dd
 
     ds = _with_empty_doc(docs_ds)
     base = _tfidf_frame(ds)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the hash-join path
     joined = _tfidf_frame(ds)
     assert _EMPTY_DOC_ID not in set(base["doc_id"]) | set(joined["doc_id"])
     assert len(base) == len(joined)
@@ -2472,11 +2495,10 @@ def test_bigram_logprob_matches_sql(docs_ds):
 
 
 def test_bigram_logprob_join_path_matches_broadcast(docs_ds, monkeypatch):
-    import riot_ray.pipelines.dedup as dd
 
     ds = _with_empty_doc(docs_ds)
     base = _bigram_frame(ds)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the hash-join path
     joined = _bigram_frame(ds)
     assert _EMPTY_DOC_ID not in set(base["doc_id"]) | set(joined["doc_id"])
     assert len(base) == len(joined)
@@ -2775,7 +2797,7 @@ def test_funnel_hash_join_path_matches_broadcast(events_ds, monkeypatch):
     from riot_ray.pipelines import funnel_counts
 
     base = funnel_counts(events_ds, ["view", "purchase"], horizon_s=86_400)
-    monkeypatch.setattr("riot_ray.pipelines.dedup.BROADCAST_BYTES", 1)
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 1)
     forced = funnel_counts(events_ds, ["view", "purchase"], horizon_s=86_400)
     assert base.equals(forced)
 
@@ -2912,7 +2934,6 @@ def test_dup_spans_matches_bruteforce(ray_session):
 def test_dup_spans_join_path_matches_broadcast(ray_session, monkeypatch):
     import ray.data as rd
 
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import dup_spans
 
     texts = _substr_texts()
@@ -2922,7 +2943,7 @@ def test_dup_spans_join_path_matches_broadcast(ray_session, monkeypatch):
     ).repartition(4)
     base = dup_spans(ds, min_len=12).to_pandas().sort_values(
         ["doc_id", "span_start"]).reset_index(drop=True)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the hash-join path
     joined = dup_spans(ds, min_len=12).to_pandas().sort_values(
         ["doc_id", "span_start"]).reset_index(drop=True)
     assert base.equals(joined)
@@ -2953,7 +2974,6 @@ def test_dup_spans_auto_prefilter_equals_dense(ray_session, monkeypatch):
 def test_dup_spans_join_path_rejects_negative_ids(ray_session, monkeypatch):
     import ray.data as rd
 
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import dup_spans
 
     texts = _substr_texts()
@@ -2961,7 +2981,7 @@ def test_dup_spans_join_path_rejects_negative_ids(ray_session, monkeypatch):
         pa.table({"doc_id": pa.array([-1] + list(range(1, len(texts))), pa.int64()),
                   "text": pa.array(texts, pa.string())})
     ).repartition(4)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the hash-join path
     # a negative id would corrupt the (doc<<32)|pos pack — must be a hard
     # ValueError (survives python -O), not a silent wrong answer
     with pytest.raises(Exception, match="doc ids must be in"):
@@ -2996,7 +3016,6 @@ def test_dup_span_clean_cuts_exactly(ray_session):
 def test_dup_span_clean_group_path_matches_broadcast(ray_session, monkeypatch):
     import ray.data as rd
 
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import dup_span_clean
 
     texts = _substr_texts()
@@ -3006,7 +3025,7 @@ def test_dup_span_clean_group_path_matches_broadcast(ray_session, monkeypatch):
     ).repartition(4)
     base = dup_span_clean(ds, min_len=12).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force co-group path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force co-group path
     grouped = dup_span_clean(ds, min_len=12).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
     assert base.equals(grouped)
@@ -3139,12 +3158,11 @@ def test_nb_classify_matches_bruteforce(ray_session):
 def test_nb_classify_join_path_matches_broadcast(ray_session, monkeypatch):
     import ray.data as rd
 
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import nb_classify
 
     ds = rd.from_arrow(_nb_table(_nb_rows())).repartition(6)
     base = nb_classify(ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the hash-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the hash-join path
     joined = nb_classify(ds).to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert base.equals(joined)
 
@@ -3154,7 +3172,6 @@ def test_nb_classify_holdout_with_oov(ray_session, monkeypatch):
     an all-OOV doc still classifies (priors + V*default) on BOTH paths."""
     import ray.data as rd
 
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import nb_classify
 
     train = _nb_rows()
@@ -3169,7 +3186,7 @@ def test_nb_classify_holdout_with_oov(ray_session, monkeypatch):
     for i, (c, sc, n) in exp.items():
         row = got.loc[i]
         assert (row["pred"], row["score_micro"], row["n_tokens"]) == (c, sc, n)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)
     got2 = nb_classify(tr, predict_ds=te).to_pandas().set_index("doc_id")
     assert got.sort_index().equals(got2.sort_index())
 
@@ -3348,6 +3365,47 @@ def test_bpe_encode_counts_match_reference(docs_ds):
         n_sub = sum(len(encode_word(w, rank)) for w in toks)
         assert got.loc[r["doc_id"], "n_words"] == len(toks)
         assert got.loc[r["doc_id"], "n_subwords"] == n_sub
+
+
+def test_bpe_encode_counts_pool_on_one_cpu():
+    """bpe_encode_counts over a read_parquet input on a ONE-CPU Ray
+    finishes: the input is read before the pool's first actor takes the
+    only CPU.  Runs in a subprocess with its own Ray, killed after a
+    timeout, so a regression fails instead of hanging the suite."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent(f"""
+        import ray
+        import ray.data as rd
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        rd.DataContext.get_current().enable_progress_bars = False
+        from riot_ray.pipelines import bpe_encode_counts
+        ds = rd.read_parquet({SF + "/documents.parquet"!r},
+                             columns=["doc_id", "text"])
+        out = bpe_encode_counts(ds, [("t", "h"), ("th", "e")]).to_pandas()
+        print(len(out), int(out.n_subwords.sum()))
+    """)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], cwd=repo,
+        env={**os.environ, "PYTHONPATH": repo},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("bpe_encode_counts on a one-CPU Ray made no progress "
+                    "in 120 s")
+    assert proc.returncode == 0, err[-3000:]
+    n_rows, n_sub = map(int, out.split()[-2:])
+    assert n_rows == 500 and n_sub > 0
 
 
 def test_bpe_word_counts_cap_is_deterministic(ray_session):
@@ -3678,7 +3736,6 @@ def test_pmi_pairs_join_path_matches_broadcast(ray_session, monkeypatch):
     import numpy as np
     import ray.data as rd
 
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import pmi_pairs
 
     rng = np.random.default_rng(2)
@@ -3687,7 +3744,7 @@ def test_pmi_pairs_join_path_matches_broadcast(ray_session, monkeypatch):
     ds = rd.from_arrow(pa.table({"text": pa.array(texts, pa.string())}))
     base = pmi_pairs(ds, window=2, min_count=3).to_pandas().sort_values(
         ["tok_a", "tok_b"]).reset_index(drop=True)
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)  # force the two-join path
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)  # force the two-join path
     joined = pmi_pairs(ds, window=2, min_count=3).to_pandas().sort_values(
         ["tok_a", "tok_b"]).reset_index(drop=True)
     assert base.equals(joined)
@@ -3752,7 +3809,6 @@ def test_heavy_hitters_counts_mass_of_trimmed_batches(ray_session):
 def test_filter_seen_matches_bruteforce(ray_session, tmp_path, monkeypatch):
     import ray.data as rd
 
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import filter_seen, write_digests
 
     old = [f"released doc {i} stays the same" for i in range(40)]
@@ -3776,7 +3832,7 @@ def test_filter_seen_matches_bruteforce(ray_session, tmp_path, monkeypatch):
     assert sorted(got["doc_id"]) == exp_ids
 
     # forced co-group anti-join path must match the broadcast path
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 0)
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 0)
     got2 = filter_seen(deliv, str(tmp_path / "seen")).to_pandas()
     assert sorted(got2["doc_id"]) == exp_ids
 
@@ -4337,10 +4393,9 @@ def test_shuffle_shards_carry_rows(docs_ds):
 
 
 def test_filter_ids_enforces_broadcast_gate(docs_ds, monkeypatch):
-    import riot_ray.pipelines.dedup as dd
     from riot_ray.pipelines import filter_ids
 
-    monkeypatch.setattr(dd, "BROADCAST_BYTES", 8)  # 1 int64 fits, 2 don't
+    monkeypatch.setattr("riot_ray.pipelines.joins.BROADCAST_BYTES", 8)  # 1 int64 fits, 2 don't
     filter_ids(docs_ds, np.array([1], np.int64))  # at the gate: fine
     with pytest.raises(ValueError, match="broadcast gate"):
         filter_ids(docs_ds, np.array([1, 2], np.int64))
