@@ -667,7 +667,7 @@ def more_like_this(ds, query_ids, k: int = 5,
     """
     import ray
 
-    from .joins import _join_parts
+    from .joins import _join_parts, _member_filter
     from .sampling import lookup_sorted
     from .simsearch import _DRIVER_REDUCE_MAX_ROWS
 
@@ -680,16 +680,10 @@ def more_like_this(ds, query_ids, k: int = 5,
     n_docs = ds.count()
 
     # ---- 1) pull + tokenize the query docs (bounded rows) --------------- #
-    qset = ray.put(qids)
-
-    def pick(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, hit = lookup_sorted(ray.get(qset), ids)
-        return batch.filter(pa.array(hit)).select([id_col, text_col])
-
-    qtabs = [t for t in ray.get(
-        ds.map_batches(pick, batch_format="pyarrow").materialize().to_arrow_refs())
-        if t.num_rows]
+    picked = _member_filter(ds, qids, id_col, keep=True).select_columns(
+        [id_col, text_col])
+    qtabs = [t for t in ray.get(picked.materialize().to_arrow_refs())
+             if t.num_rows]
     if not qtabs:
         return pa.table({"query_id": pa.array([], pa.int64()),
                          "neighbor_id": pa.array([], pa.int64()),

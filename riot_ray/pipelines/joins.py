@@ -32,16 +32,12 @@ table: the LM, tf-idf and Naive Bayes scorers) and :func:`_member_filter`
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..hashing import u64
 from ..query import lookup_sorted
-
-log = logging.getLogger(__name__)
 
 # one broadcast copy per node is cheap up to this size; past it the keyed
 # table is joined instead of centralized (Spark-style broadcast-join gate)
@@ -84,11 +80,8 @@ def _small_table(ds) -> pa.Table | None:
     import ray
 
     ds = ds.materialize()
-    size = ds.size_bytes()
-    if size > BROADCAST_BYTES:
-        log.debug("broadcast gate: %d bytes -> shuffle", size)
+    if ds.size_bytes() > BROADCAST_BYTES:
         return None
-    log.debug("broadcast gate: %d bytes -> broadcast", size)
     full = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
     if full:
         return pa.concat_tables(full).combine_chunks()

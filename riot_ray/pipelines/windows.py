@@ -499,8 +499,7 @@ def funnel_counts(ds, steps, horizon_s: int,
     still in the funnel (the survivor table ``(user, t_prev, t1)``
     attaches through the broadcast-or-shuffle gate of
     :mod:`riot_ray.pipelines.joins`), and reduces per-batch per-user MIN
-    partials
-    through a hash-partitioned groupby — the shuffle carries one row per
+    partials through a hash-partitioned groupby — the shuffle carries one row per
     (batch, user), so a bot user with 10^9 events still ships one partial
     per batch, not a timeline.  The survivor set shrinks monotonically
     step over step."""
